@@ -9,9 +9,7 @@ digits for bit-stable round trips); series go to CSV.
 from __future__ import annotations
 
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import click
@@ -89,16 +87,6 @@ def _load_two_sided(path) -> TemperedStableParams:
     return p
 
 
-def _max_workers() -> int:
-    env = os.environ.get("TS_THREADS", "")
-    if env.strip():
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return min(8, os.cpu_count() or 1)
-
-
 @click.group()
 @click.option("--quiet", is_flag=True, help="suppress progress output on stderr")
 @click.pass_context
@@ -108,15 +96,12 @@ def main(ctx, quiet):
     ctx.obj["quiet"] = quiet
 
 
-def _run(ctx, fn):
+def _run(fn):
     try:
         fn()
-    except (DomainError,) as exc:
-        _fail(exc, EXIT_VALIDATION)
-    except ConvergenceError as exc:
-        _fail(exc, EXIT_NUMERICAL)
     except TempStableError as exc:
-        _fail(exc, EXIT_VALIDATION)
+        code = EXIT_NUMERICAL if isinstance(exc, ConvergenceError) else EXIT_VALIDATION
+        _fail(exc, code)
 
 
 @main.command()
@@ -146,7 +131,7 @@ def density(ctx, params_path, nodes, extent_sd, tilt, out_path):
             Path(out_path).write_text(text)
             _progress(ctx, f"wrote {len(grid.x)} rows to {out_path}")
 
-    _run(ctx, go)
+    _run(go)
 
 
 @main.command()
@@ -167,16 +152,10 @@ def simulate(ctx, params_path, horizon, step, seed, paths, jump_floor, out_dir):
         out.mkdir(parents=True, exist_ok=True)
         ss = np.random.SeedSequence(seed)
         path_seeds = [int(s.generate_state(1)[0]) for s in ss.spawn(paths)]
-
-        def one(i):
+        for i, path_seed in enumerate(path_seeds):
             cfg = _simulate.PathConfig(horizon=horizon, step=step,
-                                       seed=path_seeds[i], jump_floor=jump_floor)
-            return i, _simulate.simulate_path(p, cfg)
-
-        with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
-            results = list(pool.map(one, range(paths)))
-        results.sort(key=lambda pair: pair[0])
-        for i, path in results:
+                                       seed=path_seed, jump_floor=jump_floor)
+            path = _simulate.simulate_path(p, cfg)
             rows = ["t,x"]
             rows += [f"{t:.17g},{x:.17g}" for t, x in zip(path.times, path.values)]
             (out / f"path_{i:04d}.csv").write_text("\n".join(rows) + "\n")
@@ -188,7 +167,7 @@ def simulate(ctx, params_path, horizon, step, seed, paths, jump_floor, out_dir):
             _progress(ctx, f"path {i}: {len(path.times)} points, "
                            f"{len(path.jump_times)} recorded jumps")
 
-    _run(ctx, go)
+    _run(go)
 
 
 @main.command()
@@ -197,8 +176,7 @@ def simulate(ctx, params_path, horizon, step, seed, paths, jump_floor, out_dir):
 @click.option("--multistart", is_flag=True)
 @click.option("--tol", default=1e-12, show_default=True)
 @click.option("--max-iter", default=200, show_default=True)
-@click.pass_context
-def fit(ctx, data_path, init_path, multistart, tol, max_iter):
+def fit(data_path, init_path, multistart, tol, max_iter):
     """Fit the six-parameter law to one-column CSV observations."""
 
     def go():
@@ -226,14 +204,13 @@ def fit(ctx, data_path, init_path, multistart, tol, max_iter):
                 f"fit did not converge (residual {result.residual:.3e})"
             )
 
-    _run(ctx, go)
+    _run(go)
 
 
 @main.command()
 @click.option("--params", "params_path", required=True, type=click.Path(exists=True))
 @click.option("--json", "as_json", is_flag=True)
-@click.pass_context
-def diagnose(ctx, params_path, as_json):
+def diagnose(params_path, as_json):
     """Report moments, normal-approximation bound, mode bracket, tail
     constant and the path-regularity index."""
 
@@ -264,7 +241,7 @@ def diagnose(ctx, params_path, as_json):
             for key, value in report.items():
                 click.echo(f"{key}: {value}")
 
-    _run(ctx, go)
+    _run(go)
 
 
 @main.group()
@@ -288,7 +265,7 @@ def esscher(params_path, r_rate, q_div):
             out["params"] = params_to_dict(sol.new_params)
         _emit(out)
 
-    _run_bare(go)
+    _run(go)
 
 
 @measure.command()
@@ -320,7 +297,7 @@ def curve(params_path, r_rate, q_div, theta_grid):
             })
         _emit({"domain": [t1, t2], "points": points})
 
-    _run_bare(go)
+    _run(go)
 
 
 @measure.command()
@@ -340,7 +317,7 @@ def mmm(params_path, r_rate, q_div):
             out["factor_tilted"] = params_to_dict(tilted) if tilted else None
         _emit(out)
 
-    _run_bare(go)
+    _run(go)
 
 
 @main.command()
@@ -354,8 +331,7 @@ def mmm(params_path, r_rate, q_div):
 @click.option("--mc-check", default=0, type=int,
               help="also price by Monte Carlo with this many paths")
 @click.option("--seed", default=20240801, type=int)
-@click.pass_context
-def price(ctx, params_path, s0, r_rate, q_div, strike, maturity, nu, mc_check, seed):
+def price(params_path, s0, r_rate, q_div, strike, maturity, nu, mc_check, seed):
     """Price a European call (and the parity put) under the given law."""
 
     def go():
@@ -372,18 +348,7 @@ def price(ctx, params_path, s0, r_rate, q_div, strike, maturity, nu, mc_check, s
             out["mc_se"] = se
         _emit(out)
 
-    _run(ctx, go)
-
-
-def _run_bare(fn):
-    try:
-        fn()
-    except DomainError as exc:
-        _fail(exc, EXIT_VALIDATION)
-    except ConvergenceError as exc:
-        _fail(exc, EXIT_NUMERICAL)
-    except TempStableError as exc:
-        _fail(exc, EXIT_VALIDATION)
+    _run(go)
 
 
 if __name__ == "__main__":

@@ -37,7 +37,25 @@ def cgf_one_sided(p: OneSidedParams, z: float) -> float:
         return a * math.log(lam / (lam - z))
     if not (z <= lam):
         raise DomainError(f"cgf requires z <= lambda = {lam}, got z = {z}")
-    return a * gamma_neg(b) * ((lam - z) ** b - lam**b)
+    return stable_leg_cgf(a, b, lam, z)
+
+
+def stable_leg_cgf(alpha: float, beta: float, lam: float, z: float) -> float:
+    """The closed form alpha * Gamma(-beta) * ((lam - z)^beta - lam^beta).
+
+    Takes raw numbers for beta in (0, 1) so that a tilted rate may sit at
+    the closed end lam = 0, which no parameter record admits.  A point
+    z that overshoots lam by roundoff (lam computed as a difference of
+    rates) counts as the endpoint z = lam.
+    """
+    shifted = lam - z
+    if shifted < 0.0 and shifted > -1e-12 * max(lam, 1.0):
+        shifted = 0.0
+    if not (shifted >= 0.0 and lam >= 0.0):
+        raise DomainError(
+            f"cgf requires 0 <= lambda and z <= lambda, got lambda = {lam}, z = {z}"
+        )
+    return alpha * gamma_neg(beta) * (shifted**beta - lam**beta)
 
 
 def cgf(p: TemperedStableParams, z: float) -> float:

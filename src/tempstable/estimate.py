@@ -2,22 +2,22 @@
 
 The one-sided law has a closed-form inverse from its first three
 cumulants.  The six-parameter law is recovered by solving the
-moment-matching system G(kappa, theta) = 0 with a damped Newton
-iteration in log/logit coordinates, so every iterate automatically stays
-inside the open parameter domain.  A separate estimator reads the
-intensity off the jump record of an observed path.
+moment-matching system G(kappa, theta) = 0 with MINPACK's hybrid
+(Powell dogleg) method in log/logit coordinates, so every iterate
+automatically stays inside the open parameter domain.  A separate
+estimator reads the intensity off the jump record of an observed path.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import root
 from scipy.special import digamma, gamma as _gamma
 
+from .core import cumulant_one_sided
 from .errors import ConvergenceError, DomainError, InfeasibleCumulantsError
 from .params import CumulantVector, OneSidedParams, TemperedStableParams
 
@@ -47,23 +47,23 @@ def _kappa_of(k) -> np.ndarray:
 
 
 def sample_cumulants(data) -> SampleCumulants:
-    """First six sample cumulants via the raw-moment polynomial identities."""
+    """First six sample cumulants from the sample mean and central moments.
+
+    Centring first keeps the higher cumulants unchanged when the data is
+    shifted; raw moments about zero cancel catastrophically instead.
+    """
     x = np.asarray(data, dtype=float).ravel()
     if x.size < 7:
         raise DomainError(
             f"need at least 7 observations, got {x.size}", code="TOO_FEW_OBS"
         )
-    m1, m2, m3, m4, m5, m6 = (np.mean(x**j) for j in range(1, 7))
-    k1 = m1
-    k2 = m2 - m1**2
-    k3 = m3 - 3 * m1 * m2 + 2 * m1**3
-    k4 = m4 - 4 * m1 * m3 - 3 * m2**2 + 12 * m1**2 * m2 - 6 * m1**4
-    k5 = (m5 - 5 * m1 * m4 - 10 * m2 * m3 + 20 * m1**2 * m3
-          + 30 * m1 * m2**2 - 60 * m1**3 * m2 + 24 * m1**5)
-    k6 = (m6 - 6 * m1 * m5 - 15 * m2 * m4 + 30 * m1**2 * m4 - 10 * m3**2
-          + 120 * m1 * m2 * m3 - 120 * m1**3 * m3 + 30 * m2**3
-          - 270 * m1**2 * m2**2 + 360 * m1**4 * m2 - 120 * m1**6)
-    return SampleCumulants(kappa_hat=(k1, k2, k3, k4, k5, k6), n_obs=int(x.size))
+    k1 = np.mean(x)
+    d = x - k1
+    m2, m3, m4, m5, m6 = (np.mean(d**j) for j in range(2, 7))
+    k4 = m4 - 3 * m2**2
+    k5 = m5 - 10 * m3 * m2
+    k6 = m6 - 15 * m4 * m2 - 10 * m3**2 + 30 * m2**3
+    return SampleCumulants(kappa_hat=(k1, m2, m3, k4, k5, k6), n_obs=int(x.size))
 
 
 def fit_one_sided(k) -> OneSidedParams:
@@ -147,10 +147,10 @@ def two_sided_jacobian(kappa, theta) -> np.ndarray:
 
 
 def population_kappa(theta) -> np.ndarray:
-    ap, bp, lp, am, bm, lm = theta
+    """First six cumulants of the law with parameter vector ``theta``."""
+    p = TemperedStableParams.create(*theta)
     j = np.arange(1, 7)
-    return (_gamma(j - bp) * ap / lp ** (j - bp)
-            + (-1.0) ** j * _gamma(j - bm) * am / lm ** (j - bm))
+    return cumulant_one_sided(p.plus, j) + (-1.0) ** j * cumulant_one_sided(p.minus, j)
 
 
 def _to_unconstrained(theta) -> np.ndarray:
@@ -202,15 +202,14 @@ def _scaled_system(kappa, scale):
 
 def fit_two_sided(k, init: TemperedStableParams,
                   tol: float = 1e-12, max_iter: int = 200) -> FitResult:
-    """Damped Newton solve of the six-cumulant matching system.
+    """Solve the six-cumulant matching system from ``init``.
 
-    Convergence is declared when every cumulant mismatch is below ``tol``
-    relative to its natural scale max(|kappa_j|, k2^(j/2)).  A
-    backtracking Newton iteration runs first; if it stalls, a dogleg
-    trust-region pass with the same analytic Jacobian finishes the job
-    (plain line-searched Newton alone strands on a sizable fraction of
-    perturbed starts).  On failure the best iterate is returned with
-    ``converged=False``.
+    One hybrid (Powell dogleg) solve with the analytic Jacobian runs in
+    log/logit coordinates; ``max_iter`` caps its function evaluations and
+    ``iterations`` reports how many it used.  Convergence is declared when
+    every cumulant mismatch is below ``tol`` relative to its natural scale
+    max(|kappa_j|, k2^(j/2)).  On failure the final iterate is returned
+    with ``converged=False``.
     """
     kappa = _kappa_of(k)
     if kappa.size != 6:
@@ -224,48 +223,12 @@ def fit_two_sided(k, init: TemperedStableParams,
     fun, jac = _scaled_system(kappa, scale)
 
     u_init = _to_unconstrained(np.array(init.as_tuple()))
-    u = u_init.copy()
-    r = fun(u)
-    best_u, best_norm = u, float(np.max(np.abs(r)))
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        if np.max(np.abs(r)) <= tol:
-            break
-        try:
-            step = np.linalg.solve(jac(u), -r)
-        except np.linalg.LinAlgError:
-            break
-        norm0 = float(np.sum(r**2))
-        t_step = 1.0
-        for _ in range(40):
-            u_new = np.clip(u + t_step * step, -_LOGIT_CLIP, _LOGIT_CLIP)
-            r_new = fun(u_new)
-            if np.all(np.isfinite(r_new)) and float(np.sum(r_new**2)) < norm0:
-                break
-            t_step *= 0.5
-        else:
-            break
-        u, r = u_new, r_new
-        norm = float(np.max(np.abs(r)))
-        if norm < best_norm:
-            best_u, best_norm = u, norm
-
-    if best_norm > tol:
-        from scipy.optimize import root as _root
-
-        for start in (best_u, u_init):
-            sol = _root(fun, start, jac=jac, method="hybr", tol=1e-14)
-            iterations += int(sol.nfev)
-            norm = float(np.max(np.abs(fun(sol.x))))
-            if norm < best_norm:
-                best_u, best_norm = sol.x, norm
-            if best_norm <= tol:
-                break
-
-    converged = best_norm <= tol
-    params = TemperedStableParams.create(*_from_unconstrained(best_u))
-    return FitResult(params=params, residual=best_norm,
-                     iterations=iterations, converged=converged)
+    sol = root(fun, u_init, jac=jac, method="hybr", tol=1e-14,
+               options={"maxfev": max_iter})
+    residual = float(np.max(np.abs(fun(sol.x))))
+    params = TemperedStableParams.create(*_from_unconstrained(sol.x))
+    return FitResult(params=params, residual=residual,
+                     iterations=int(sol.nfev), converged=residual <= tol)
 
 
 def _default_starts(kappa) -> list[TemperedStableParams]:
@@ -293,33 +256,15 @@ def _default_starts(kappa) -> list[TemperedStableParams]:
     return starts
 
 
-def _max_workers() -> int:
-    env = os.environ.get("TS_THREADS", "")
-    if env.strip():
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return min(8, os.cpu_count() or 1)
-
-
 def multistart_fit_two_sided(k, tol: float = 1e-12, max_iter: int = 200) -> FitResult:
-    """Run the Newton solve from the default start set and keep the best
+    """Run the solve from the default start set and keep the best
     residual; ties break deterministically on start index."""
     kappa = _kappa_of(k)
-    starts = _default_starts(kappa)
-
-    def run(start):
-        try:
-            return fit_two_sided(kappa, start, tol=tol, max_iter=max_iter)
-        except (DomainError, ConvergenceError):
-            return None
-
-    with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
-        results = list(pool.map(run, starts))
     best = None
-    for res in results:
-        if res is None:
+    for start in _default_starts(kappa):
+        try:
+            res = fit_two_sided(kappa, start, tol=tol, max_iter=max_iter)
+        except (DomainError, ConvergenceError):
             continue
         if best is None or res.residual < best.residual:
             best = res

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .core import cgf, cgf_one_sided, gamma_neg
+from .core import cgf, cgf_one_sided, gamma_neg, stable_leg_cgf
 from .errors import ConvergenceError, DomainError, NoMartingaleMeasureError
 from .params import TemperedStableParams
 
@@ -106,18 +106,14 @@ def _require_positive_betas(p: TemperedStableParams, what: str) -> None:
         raise DomainError(f"{what} requires both stability legs in (0, 1)")
 
 
-def _leg_tilt_at_one(alpha: float, beta: float, rate: float) -> float:
-    # contribution of a leg with tempering rate `rate` to Psi(1):
-    # alpha * Gamma(-beta) * [(rate - 1)^beta - rate^beta] for an upward leg
-    # evaluated with rate - 1 >= 0; the downward leg passes rate + 1.
-    shifted = rate - 1.0
-    if shifted < 0.0:
-        # roundoff at the closed endpoint rate == 1
-        if shifted > -1e-12 * max(rate, 1.0):
-            shifted = 0.0
-        else:
-            raise DomainError(f"tilted rate {rate} below 1; generating function at 1 undefined")
-    return alpha * gamma_neg(beta) * (shifted**beta - rate**beta)
+def _plus_part(p: TemperedStableParams, theta: float) -> float:
+    # contribution of the tilted upward leg to Psi_tilted(1), theta <= lambda+ - 1
+    return stable_leg_cgf(p.plus.alpha, p.plus.beta, p.plus.lam - theta, 1.0)
+
+
+def _minus_part(p: TemperedStableParams, theta_minus: float) -> float:
+    # contribution of the tilted downward leg, theta- <= lambda-
+    return stable_leg_cgf(p.minus.alpha, p.minus.beta, p.minus.lam - theta_minus, -1.0)
 
 
 def esscher_f(p: TemperedStableParams, theta: float) -> float:
@@ -130,9 +126,7 @@ def esscher_f(p: TemperedStableParams, theta: float) -> float:
     lp, lm = p.plus.lam, p.minus.lam
     if not (-lm <= theta <= lp - 1.0):
         raise DomainError(f"theta must lie in [{-lm}, {lp - 1.0}], got {theta}")
-    f_plus = _leg_tilt_at_one(p.plus.alpha, p.plus.beta, lp - theta)
-    f_minus = -_leg_tilt_at_one(p.minus.alpha, p.minus.beta, lm + theta + 1.0)
-    return f_plus + f_minus
+    return _plus_part(p, theta) + _minus_part(p, -theta)
 
 
 def martingale_residual(p_new: TemperedStableParams, r: float, q_div: float) -> float:
@@ -161,15 +155,6 @@ def esscher_martingale(p: TemperedStableParams, r: float, q_div: float) -> Marti
             theta=math.nan, residual=math.nan, exists=False,
             message=f"r - q = {rq} outside the attainable range ({f_lo}, {f_hi}]",
         )
-    if __debug__:
-        # the solve relies on strict monotonicity of the tilt function
-        probes = [lo + (hi - lo) * k / 99.0 for k in range(100)]
-        vals = [esscher_f(p, th) for th in probes]
-        if any(b <= a for a, b in zip(vals, vals[1:])):
-            raise ConvergenceError(
-                "tilt function is not strictly increasing on its domain; "
-                "the root bracket is unreliable for these parameters"
-            )
     if rq == f_hi:
         theta = hi
     else:
@@ -180,16 +165,6 @@ def esscher_martingale(p: TemperedStableParams, r: float, q_div: float) -> Marti
     _check_residual(residual)
     return MartingaleSolve(theta=theta, residual=residual, exists=True,
                            new_params=new_params)
-
-
-def _plus_part(p: TemperedStableParams, theta: float) -> float:
-    # contribution of the tilted upward leg to Psi_tilted(1), theta <= lambda+ - 1
-    return _leg_tilt_at_one(p.plus.alpha, p.plus.beta, p.plus.lam - theta)
-
-
-def _minus_part(p: TemperedStableParams, theta_minus: float) -> float:
-    # contribution of the tilted downward leg, theta- < lambda-
-    return -_leg_tilt_at_one(p.minus.alpha, p.minus.beta, p.minus.lam - theta_minus + 1.0)
 
 
 def _curve_brackets(p: TemperedStableParams, theta_floor: float):

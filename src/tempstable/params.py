@@ -106,22 +106,16 @@ def params_from_dict(d: dict):
     Two-sided files carry the six ``*_plus`` / ``*_minus`` keys; one-sided
     files carry ``alpha``, ``beta``, ``lambda``.
     """
-    if all(k in d for k in _TWO_SIDED_KEYS):
-        vals = []
-        for k in _TWO_SIDED_KEYS:
-            v = d[k]
-            if not isinstance(v, (int, float)) or isinstance(v, bool):
-                raise DomainError(f"parameter {k} must be a number, got {v!r}")
-            vals.append(float(v))
-        return TemperedStableParams.create(*vals)
-    if all(k in d for k in _ONE_SIDED_KEYS):
-        vals = []
-        for k in _ONE_SIDED_KEYS:
-            v = d[k]
-            if not isinstance(v, (int, float)) or isinstance(v, bool):
-                raise DomainError(f"parameter {k} must be a number, got {v!r}")
-            vals.append(float(v))
-        return OneSidedParams(*vals)
+    for keys, build in ((_TWO_SIDED_KEYS, TemperedStableParams.create),
+                        (_ONE_SIDED_KEYS, OneSidedParams)):
+        if all(k in d for k in keys):
+            vals = []
+            for k in keys:
+                v = d[k]
+                if not isinstance(v, (int, float)) or isinstance(v, bool):
+                    raise DomainError(f"parameter {k} must be a number, got {v!r}")
+                vals.append(float(v))
+            return build(*vals)
     raise DomainError(
         "parameter file must provide alpha_plus..lambda_minus (two-sided) "
         "or alpha/beta/lambda (one-sided)"

@@ -71,14 +71,13 @@ def call_price_fourier(p_q: TemperedStableParams, market: MarketConfig,
     if not (1.0 < nu < lam_plus):
         raise DomainError(f"contour height must lie in (1, {lam_plus}), got {nu}")
 
-    if __debug__:
-        drift_gap = abs(cgf(p_q, 1.0) - (market.r - market.q_div))
-        if drift_gap > 1e-8:
-            warnings.warn(
-                f"pricing law is not a martingale law: |Psi(1) - (r - q)| = {drift_gap:.2e}",
-                RuntimeWarning,
-                stacklevel=2,
-            )
+    drift_gap = abs(cgf(p_q, 1.0) - (market.r - market.q_div))
+    if drift_gap > 1e-8:
+        warnings.warn(
+            f"pricing law is not a martingale law: |Psi(1) - (r - q)| = {drift_gap:.2e}",
+            RuntimeWarning,
+            stacklevel=2,
+        )
 
     p_t = marginal(p_q, option.maturity)
     k = math.log(option.strike / market.s0)

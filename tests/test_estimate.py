@@ -39,6 +39,14 @@ class TestSampleCumulants:
         assert abs(k.kappa_hat[2]) < 5.0 * math.sqrt(6.0 / n)
         assert abs(k.kappa_hat[3]) < 5.0 * math.sqrt(24.0 / n)
 
+    def test_shift_invariance(self, rng):
+        # cumulants past the first do not move when the data is shifted
+        x = rng.standard_normal(200_000)
+        base = np.array(ts.sample_cumulants(x).kappa_hat)
+        shifted = np.array(ts.sample_cumulants(x + 1e3).kappa_hat)
+        assert shifted[0] == pytest.approx(base[0] + 1e3, abs=1e-9)
+        assert np.allclose(shifted[1:], base[1:], rtol=0.0, atol=1e-9)
+
     def test_moment_map_on_known_laws(self):
         # Exp(1): kappa_n = (n-1)! and raw moments m_n = n!
         kappa_exp = np.array([math.factorial(n - 1) for n in range(1, 7)], dtype=float)

@@ -13,6 +13,12 @@ from tempstable import (
 )
 
 
+@pytest.fixture
+def upper_end_rounds():
+    """Law whose Esscher tilt domain [lo, hi] has lo + (hi - lo) * 99 / 99.0 > hi."""
+    return TemperedStableParams.create(0.6, 0.4, 3.1, 0.5, 0.5, 3.1)
+
+
 def hellinger_integral(p, q, cutoff):
     """int over cutoff <= |x| <= 1 of (1 - sqrt(dF2/dF1))^2 dF1,
     integrated in log-space to tame the jump-density singularity."""
@@ -145,6 +151,18 @@ class TestEsscherMartingale:
         assert not sol.exists
         assert "range" in sol.message
 
+    def test_upper_end_rounding(self, upper_end_rounds):
+        # no step of the solve may evaluate the tilt function past hi
+        sol = ts.esscher_martingale(upper_end_rounds, 0.04, 0.01)
+        assert sol.exists
+        assert sol.residual <= 1e-10
+
+    def test_tilt_function_finite_at_closed_ends(self, skewed_tight, upper_end_rounds):
+        for p in (skewed_tight, upper_end_rounds):
+            lo, hi = -p.minus.lam, p.plus.lam - 1.0
+            assert math.isfinite(ts.esscher_f(p, lo))
+            assert math.isfinite(ts.esscher_f(p, hi))
+
     def test_residual_tolerance(self, skewed_tight, rng):
         for _ in range(10):
             r = rng.uniform(0.0, 0.05)
@@ -242,9 +260,10 @@ class TestMeasureInvariants:
         point = ts.curve_point(skewed_tight, 0.5 * (t1 + t2), r, q)
         assert ts.locally_equivalent(skewed_tight, point.new_params)
 
-    def test_tilt_function_increasing(self, skewed_tight):
-        lo = -skewed_tight.minus.lam
-        hi = skewed_tight.plus.lam - 1.0
-        grid = np.linspace(lo, hi, 100)
-        vals = [ts.esscher_f(skewed_tight, th) for th in grid]
-        assert np.all(np.diff(vals) > 0.0)
+    def test_tilt_function_increasing(self, skewed_tight, upper_end_rounds):
+        for p in (skewed_tight, upper_end_rounds):
+            lo = -p.minus.lam
+            hi = p.plus.lam - 1.0
+            grid = np.linspace(lo, hi, 100)
+            vals = [ts.esscher_f(p, th) for th in grid]
+            assert np.all(np.diff(vals) > 0.0)
