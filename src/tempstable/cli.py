@@ -120,16 +120,17 @@ def density(ctx, params_path, nodes, extent_sd, tilt, out_path):
         settings = _density.InversionSettings(nodes=nodes, extent_sd=extent_sd, tilt=tilt)
         ev = _density.DensityEvaluator(p, settings)
         grid = ev.grid()
-        x, cdf_vals = ev.cdf_grid()
+        x, cdf_vals = ev.cdf_grid(grid)
         lines = ["x,pdf,cdf"]
-        for xi, pi, ci in zip(grid.x, grid.pdf, cdf_vals):
+        # Python floats format faster than numpy scalars, to the same text
+        for xi, pi, ci in zip(x.tolist(), grid.pdf.tolist(), cdf_vals.tolist()):
             lines.append(f"{xi:.17g},{pi:.17g},{ci:.17g}")
         text = "\n".join(lines) + "\n"
         if out_path is None:
             click.echo(text, nl=False)
         else:
             Path(out_path).write_text(text)
-            _progress(ctx, f"wrote {len(grid.x)} rows to {out_path}")
+            _progress(ctx, f"wrote {len(x)} rows to {out_path}")
 
     _run(go)
 

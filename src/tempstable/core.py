@@ -111,14 +111,25 @@ def cumulant_vector(p: TemperedStableParams) -> CumulantVector:
 
 
 def moment_stats(p: TemperedStableParams) -> MomentStats:
-    """Mean, variance, Charliers skewness and kurtosis from the cumulants."""
-    k1, k2, k3, k4 = (cumulant(p, n) for n in range(1, 5))
-    return MomentStats(
-        mean=k1,
-        variance=k2,
-        skewness=k3 / k2**1.5,
-        kurtosis=3.0 + k4 / k2**2,
-    )
+    """Mean, variance, Charliers skewness and kurtosis from the cumulants.
+
+    Raises DomainError when a cumulant or a ratio of them overflows the
+    float range, instead of passing inf or nan on.
+    """
+    try:
+        with np.errstate(all="ignore"):
+            k1, k2, k3, k4 = (cumulant(p, n) for n in range(1, 5))
+            k2_sq = k2**2
+            skewness, excess = k3 / k2**1.5, k4 / k2_sq
+        finite = all(math.isfinite(v) for v in (k1, k2, k3, k4, k2_sq, skewness, excess))
+    except OverflowError:  # Python float powers of an extreme rate
+        finite = False
+    if not finite:
+        raise DomainError(
+            "moment statistics overflow for this law: its first four "
+            "cumulants, squared variance or their ratios are not finite"
+        )
+    return MomentStats(mean=k1, variance=k2, skewness=skewness, kurtosis=3.0 + excess)
 
 
 def mean(p: TemperedStableParams) -> float:

@@ -183,6 +183,12 @@ def _validate_init(init: TemperedStableParams) -> None:
             )
 
 
+def _validate_max_iter(max_iter: int) -> None:
+    # MINPACK reads a non-positive evaluation cap as "use the default"
+    if not max_iter >= 1:
+        raise DomainError(f"max_iter must be at least 1, got {max_iter}")
+
+
 def _scaled_system(kappa, scale):
     def fun(u):
         theta = _from_unconstrained(u)
@@ -211,6 +217,7 @@ def fit_two_sided(k, init: TemperedStableParams,
     max(|kappa_j|, k2^(j/2)).  On failure the final iterate is returned
     with ``converged=False``.
     """
+    _validate_max_iter(max_iter)
     kappa = _kappa_of(k)
     if kappa.size != 6:
         raise DomainError("need exactly six cumulants")
@@ -259,6 +266,7 @@ def _default_starts(kappa) -> list[TemperedStableParams]:
 def multistart_fit_two_sided(k, tol: float = 1e-12, max_iter: int = 200) -> FitResult:
     """Run the solve from the default start set and keep the best
     residual; ties break deterministically on start index."""
+    _validate_max_iter(max_iter)
     kappa = _kappa_of(k)
     best = None
     for start in _default_starts(kappa):

@@ -72,7 +72,9 @@ class MomentStats:
         if not (self.variance > 0.0):
             raise DomainError("variance must be positive")
         if not (self.kurtosis > 3.0):
-            raise DomainError("kurtosis of a tempered stable law exceeds 3")
+            raise DomainError(
+                f"kurtosis of a tempered stable law must exceed 3, got {self.kurtosis}"
+            )
 
 
 @dataclass(frozen=True)

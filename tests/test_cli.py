@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -68,6 +69,50 @@ def test_density_csv(runner, params_file, tmp_path):
     assert np.all(np.diff(body[:, 0]) > 0.0)
     assert np.all(body[:, 1] >= 0.0)
     assert np.all(np.diff(body[:, 2]) >= 0.0)
+
+
+def test_density_csv_is_17g_of_library_grid(runner, params_file):
+    result = runner.invoke(main, ["density", "--params", params_file, "--nodes", "4096"])
+    assert result.exit_code == 0
+    ev = ts.DensityEvaluator(ts.load_params(params_file), ts.InversionSettings(nodes=4096))
+    grid = ev.grid()
+    x, cdf_vals = ev.cdf_grid()
+    rows = [f"{xi:.17g},{pi:.17g},{ci:.17g}" for xi, pi, ci in zip(x, grid.pdf, cdf_vals)]
+    assert result.stdout == "x,pdf,cdf\n" + "\n".join(rows) + "\n"
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--extent-sd", "0"), ("--extent-sd", "-1"), ("--extent-sd", "nan"), ("--nodes", "0"),
+])
+def test_density_rejects_invalid_settings(runner, params_file, flag, value):
+    result = runner.invoke(main, ["density", "--params", params_file, flag, value])
+    assert result.exit_code == 2
+    assert result.stderr.startswith("error PARAM_DOMAIN:")
+
+
+def test_diagnose_overflow_is_domain_error(runner, tmp_path):
+    path = tmp_path / "huge.json"
+    ts.save_params(ts.TemperedStableParams.create(1e308, 0.5, 1.0, 1.0, 0.5, 1.0), path)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = runner.invoke(main, ["diagnose", "--params", str(path)])
+    assert result.exit_code == 2
+    assert "error PARAM_DOMAIN" in result.stderr and "overflow" in result.stderr
+    assert "Warning" not in result.stderr
+    assert caught == []
+
+
+@pytest.mark.parametrize("max_iter", ["0", "-1"])
+@pytest.mark.parametrize("start", ["--init", "--multistart"])
+def test_fit_rejects_nonpositive_max_iter(runner, tmp_path, params_file, max_iter, start):
+    data = tmp_path / "obs.csv"
+    obs = ts.simulate_path(ts.load_params(params_file),
+                           ts.PathConfig(horizon=200.0, step=1.0, seed=5)).values
+    np.savetxt(data, np.diff(obs), fmt="%.17g")
+    args = ["fit", str(data), "--max-iter", max_iter, start]
+    result = runner.invoke(main, args + ([params_file] if start == "--init" else []))
+    assert result.exit_code == 2
+    assert "max_iter" in result.stderr
 
 
 def test_density_tilt_flag_consistent_in_bulk(runner, params_file, tmp_path):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -137,6 +138,20 @@ class TestMomentStats:
     def test_kurtosis_above_three(self, rng):
         for _ in range(30):
             assert ts.moment_stats(random_params(rng)).kurtosis > 3.0
+
+    @pytest.mark.parametrize("law", [
+        (1e308, 0.5, 1.0, 1.0, 0.5, 1.0),
+        (1.0, 0.5, 1e100, 1.0, 0.5, 1.0),
+    ], ids=["huge-alpha", "huge-lambda"])
+    def test_overflow_named_without_warnings(self, law):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="overflow"):
+                ts.moment_stats(TemperedStableParams.create(*law))
+
+    def test_kurtosis_check_wording(self):
+        with pytest.raises(DomainError, match="must exceed 3"):
+            ts.MomentStats(mean=0.0, variance=1.0, skewness=0.0, kurtosis=3.0)
 
     def test_composition_identity(self, skewed):
         stats = ts.moment_stats(skewed)

@@ -17,6 +17,36 @@ from conftest import inversion_cost_ok, random_params
 
 GAMMA_PROXY = TemperedStableParams.create(2.0, 0.0, 1.0, 1e-12, 0.0, 1.0)
 GAMMA_SETTINGS = InversionSettings(cf_floor=1e-10)
+README_LAW = TemperedStableParams.create(1.0, 0.3, 3.0, 2.0, 0.6, 4.0)
+# small stability indices: the node count follows from the frequency
+# extent and |phi| never drops below 1e-16 on the planned grid
+SLOW_LAW = TemperedStableParams.create(1.0, 0.1, 1.0, 1.0, 0.1, 1.0)
+
+
+def _direct_dft_pdf(p, settings, xs):
+    """Reference pointwise density: the half-line DFT over every planned
+    node, rebuilt from the grid's plan record and the public transform."""
+    meta = ts.DensityEvaluator(p, settings).grid().meta
+    t = meta["tilt"]
+    tilted = p if t == 0.0 else ts.bilateral_esscher(p, ts.EsscherPair(t, -t))
+    z = meta["dz"] * np.arange(meta["nodes"])
+    phi = ts.cf(tilted, z)
+    phi[0] *= 0.5
+    out = np.array([(meta["dz"] / math.pi) * np.real(np.exp(-1j * x * z) @ phi) for x in xs])
+    if t != 0.0:
+        out *= np.exp(ts.cgf(p, t) - t * xs)
+    return np.maximum(out, 0.0)
+
+
+class TestSettings:
+    @pytest.mark.parametrize("kwargs", [
+        {"extent_sd": 0.0}, {"extent_sd": -1.0}, {"extent_sd": math.nan},
+        {"extent_sd": math.inf}, {"nodes": 0}, {"cf_floor": 0.0},
+        {"cf_floor": 1.0}, {"cf_floor": math.nan}, {"nodes": 2**12, "max_nodes": 2**11},
+    ])
+    def test_invalid_settings_rejected(self, kwargs):
+        with pytest.raises(DomainError):
+            InversionSettings(**kwargs)
 
 
 class TestPdf:
@@ -71,6 +101,28 @@ class TestPdf:
         assert np.max(np.abs(plain.pdf(xs) - tilted.pdf(xs))) < 1e-9
 
 
+class TestSupportTruncation:
+    """Pointwise pdf sums only the nodes where phi is numerically
+    nonzero; it must match the full direct DFT in the bulk."""
+
+    @pytest.mark.parametrize("law, settings, truncated", [
+        (README_LAW, None, True),
+        (README_LAW, InversionSettings(tilt=0.5), True),
+        (SLOW_LAW, None, False),
+        (GAMMA_PROXY, GAMMA_SETTINGS, False),
+    ], ids=["readme", "readme-tilted", "slow-decay", "gamma-leg"])
+    def test_matches_full_direct_dft(self, law, settings, truncated):
+        ev = ts.DensityEvaluator(law, settings)
+        assert (ev._support < ev._n) == truncated
+        stats = ts.moment_stats(law)
+        sd = math.sqrt(stats.variance)
+        lo = 0.1 * sd if law is GAMMA_PROXY else stats.mean - 4.0 * sd
+        xs = np.linspace(lo, stats.mean + 4.0 * sd, 9)
+        ref = _direct_dft_pdf(law, settings, xs)
+        assert np.all(ref > 0.0)
+        assert np.max(np.abs(ev.pdf(xs) - ref) / ref) < 1e-10
+
+
 class TestAgainstPointwiseQuadrature:
     """Second, fully independent inversion: direct oscillatory quadrature
     of the transform at single points."""
@@ -115,6 +167,33 @@ class TestAgainstPointwiseQuadrature:
 
 
 class TestCdf:
+    def test_scalar_cdf_interpolates_cdf_grid(self, skewed):
+        ev = ts.DensityEvaluator(skewed)
+        xg, cg = ev.cdf_grid()
+        stats = ts.moment_stats(skewed)
+        xs = stats.mean + math.sqrt(stats.variance) * np.linspace(-20.0, 20.0, 41)
+        expected = np.interp(xs, xg, cg, left=0.0, right=1.0)
+        assert np.array_equal(ev.cdf(xs), expected)
+        assert [ev.cdf(float(x)) for x in xs] == expected.tolist()
+        # callers get fresh arrays; writing to them leaves the evaluator intact
+        cg[:] = -1.0
+        assert np.array_equal(ev.cdf(xs), expected)
+        assert not np.shares_memory(ev.cdf_grid()[1], cg)
+
+    def test_repeated_scalar_cdf_builds_grid_once(self, skewed, monkeypatch):
+        calls = []
+        plain_grid = ts.DensityEvaluator.grid
+
+        def counting_grid(self):
+            calls.append(1)
+            return plain_grid(self)
+
+        monkeypatch.setattr(ts.DensityEvaluator, "grid", counting_grid)
+        ev = ts.DensityEvaluator(skewed)
+        for x in np.linspace(-1.0, 1.0, 16):
+            ev.cdf(float(x))
+        assert len(calls) == 1
+
     def test_symmetric_median(self, sym_half):
         assert ts.cdf(sym_half, 0.0) == pytest.approx(0.5, abs=1e-6)
 

@@ -199,6 +199,14 @@ class TestFitTwoSided:
         with pytest.raises(InfeasibleCumulantsError):
             ts.fit_two_sided([0.1, -1.0, 0.0, 1.0, 0.0, 1.0], skewed)
 
+    @pytest.mark.parametrize("max_iter", [0, -1])
+    def test_nonpositive_max_iter_rejected(self, skewed, max_iter):
+        kappa = [ts.cumulant(skewed, n) for n in range(1, 7)]
+        with pytest.raises(DomainError, match="max_iter"):
+            ts.fit_two_sided(kappa, skewed, max_iter=max_iter)
+        with pytest.raises(DomainError, match="max_iter"):
+            ts.multistart_fit_two_sided(kappa, max_iter=max_iter)
+
     def test_multistart_recovers_population_root(self, skewed):
         kappa = population_kappa(np.array(skewed.as_tuple()))
         fit = ts.multistart_fit_two_sided(kappa)
