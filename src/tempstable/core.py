@@ -183,12 +183,6 @@ def marginal(p: TemperedStableParams, t: float) -> TemperedStableParams:
     )
 
 
-def marginal_one_sided(p: OneSidedParams, t: float) -> OneSidedParams:
-    if not (t > 0.0):
-        raise DomainError(f"time must be positive, got {t}")
-    return OneSidedParams(p.alpha * t, p.beta, p.lam)
-
-
 def third_moment_one_sided(p: OneSidedParams) -> float:
     """Third raw moment of a one-sided law, in the factored closed form
     Gamma(1-b) a / l^(3-b) * [Gamma(1-b)^2 a^2 l^(2b) + 3(1-b)Gamma(1-b) a l^b + (1-b)(2-b)].

@@ -18,6 +18,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.optimize import brentq, minimize_scalar
 from scipy.special import gamma as _gamma
 
 from .core import (
@@ -248,25 +249,29 @@ def density_grid(p: TemperedStableParams, settings: InversionSettings | None = N
 def mode_fixed_point(p: OneSidedParams) -> float:
     """Unique solution of alpha^(1/beta) exp(-(lambda/beta) xi) = xi.
 
-    The left side is strictly decreasing in xi, so bisection on
-    (0, alpha^(1/beta)] is safe.
+    The left side is strictly decreasing in xi, so bisection below an
+    upper bound of the root is safe.
     """
     if not (0.0 < p.beta < 1.0):
         raise DomainError("fixed point defined for beta in (0, 1) only")
     a, b, lam = p.alpha, p.beta, p.lam
-    hi = a ** (1.0 / b)
+    log_a = math.log(a)
+    # the root is below alpha^(1/beta), and a root above 1 is below
+    # ln(alpha)/lambda; the first bound overflows for small beta, so the
+    # smaller of the two is taken in log space
+    hi = math.exp(min(log_a / b, math.log(max(1.0, log_a / lam))))
 
     def h(xi):
-        return (math.log(a) / b - (lam / b) * xi) - math.log(xi)
+        return (log_a / b - (lam / b) * xi) - math.log(xi)
 
     lo = 1e-12 * min(hi, 1.0)
+    if not lo > 0.0:
+        raise DomainError(f"the mode fixed point underflows: ln(xi0) < {log_a / b:.6g}")
     # expand the lower end until the decreasing map is above the diagonal
     while h(lo) <= 0.0:
         lo *= 0.5
         if lo < 1e-300:
             raise ConvergenceError("fixed-point bracket collapsed")
-    from scipy.optimize import brentq
-
     return brentq(h, lo, hi, xtol=1e-15, rtol=8.9e-16)
 
 
@@ -277,7 +282,9 @@ def _one_sided_bracket(p: OneSidedParams) -> ModeBracket:
     v = cumulant_one_sided(p, 2)
     xi0 = mode_fixed_point(p)
     lower = max(m1 - math.sqrt(3.0 * v), xi0)
-    upper = min(m1, (p.alpha / (1.0 - p.beta)) ** (1.0 / p.beta))
+    # (alpha / (1 - beta))^(1/beta) overflows for small beta; compare logs
+    log_cap = (math.log(p.alpha) - math.log1p(-p.beta)) / p.beta
+    upper = m1 if math.log(m1) <= log_cap else math.exp(log_cap)
     return ModeBracket(lower=lower, upper=upper, xi0=xi0)
 
 
@@ -296,29 +303,11 @@ def mode_bracket(p) -> ModeBracket:
     return ModeBracket(lower=-down.upper, upper=up.upper, xi0=None)
 
 
-def _golden_section_max(f, lo: float, hi: float, tol: float) -> float:
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
-
-
 def mode(p: TemperedStableParams, settings: InversionSettings | None = None) -> float:
     """Location of the unique maximum of the density.
 
     Uses the analytic bracket when both stability legs are positive
-    (unimodality makes golden-section search valid); Gamma legs fall back
+    (unimodality makes a bounded Brent search valid); Gamma legs fall back
     to the window spanned by the per-leg means.
     """
     ev = DensityEvaluator(p, settings)
@@ -328,8 +317,9 @@ def mode(p: TemperedStableParams, settings: InversionSettings | None = None) -> 
     else:
         lo = -cumulant_one_sided(p.minus, 1)
         hi = cumulant_one_sided(p.plus, 1)
-    tol = 1e-8 * ev._sigma
-    return _golden_section_max(lambda x: ev.pdf(x), lo, hi, tol)
+    res = minimize_scalar(lambda x: -ev.pdf(x), bounds=(lo, hi), method="bounded",
+                          options={"xatol": 1e-8 * ev._sigma})
+    return float(res.x)
 
 
 # -- asymptotics -------------------------------------------------------------
@@ -350,7 +340,7 @@ def tail_constant_one_sided(p: OneSidedParams) -> float:
     """Constant C in g(x) ~ C e^(-lambda x) / x^(1+beta) as x -> infinity."""
     if not (0.0 < p.beta < 1.0):
         raise DomainError("tail constant requires beta in (0, 1)")
-    return p.alpha * math.exp(-p.alpha * gamma_neg(p.beta) * p.lam**p.beta)
+    return _scaled_exp(p.alpha, -p.alpha * gamma_neg(p.beta) * p.lam**p.beta)
 
 
 def tail_constant(p: TemperedStableParams) -> float:
@@ -363,7 +353,18 @@ def tail_constant(p: TemperedStableParams) -> float:
         raise DomainError("tail constant requires both stability legs in (0, 1)")
     ap, bp, lp = p.plus.alpha, p.plus.beta, p.plus.lam
     am, bm, lm = p.minus.alpha, p.minus.beta, p.minus.lam
-    return ap * math.exp(
-        -ap * gamma_neg(bp) * lp**bp
-        + am * gamma_neg(bm) * ((lp + lm) ** bm - lm**bm)
-    )
+    return _scaled_exp(ap, -ap * gamma_neg(bp) * lp**bp
+                       + am * gamma_neg(bm) * ((lp + lm) ** bm - lm**bm))
+
+
+def _scaled_exp(alpha: float, exponent: float) -> float:
+    # alpha * e^exponent, with a typed error where it leaves the float range
+    try:
+        c = alpha * math.exp(exponent)
+    except OverflowError:
+        c = math.inf
+    if not math.isfinite(c):
+        raise DomainError(
+            f"tail constant overflows for this law: alpha * exp({exponent:.6g}) is not finite"
+        )
+    return c

@@ -32,7 +32,6 @@ class BerryEsseenReport:
     bound: float
     mu: float
     sigma2: float
-    c_const: float = BERRY_ESSEEN_C
 
     @property
     def vacuous(self) -> bool:
@@ -67,7 +66,7 @@ def alpha_pair_for_moments(beta_plus: float, lambda_plus: float,
     return a_plus, a_minus
 
 
-def berry_esseen_bound(p: TemperedStableParams, c_const: float = BERRY_ESSEEN_C) -> BerryEsseenReport:
+def berry_esseen_bound(p: TemperedStableParams) -> BerryEsseenReport:
     """Evaluate the closed-form Kolmogorov bound for the law ``p``."""
     stats = moment_stats(p)
     mu, sigma2 = stats.mean, stats.variance
@@ -77,8 +76,8 @@ def berry_esseen_bound(p: TemperedStableParams, c_const: float = BERRY_ESSEEN_C)
     denom = (1.0 - bm) * lp + (1.0 - bp) * lm
     term_plus = (1.0 - bp) * (2.0 - bp) * ((1.0 - bm) * mu / sigma**3 + lm / sigma) / (lp * denom)
     term_minus = (1.0 - bm) * (2.0 - bm) * ((bp - 1.0) * mu / sigma**3 + lp / sigma) / (lm * denom)
-    bound = 32.0 * c_const * (term_plus + term_minus)
-    return BerryEsseenReport(bound=bound, mu=mu, sigma2=sigma2, c_const=c_const)
+    bound = 32.0 * BERRY_ESSEEN_C * (term_plus + term_minus)
+    return BerryEsseenReport(bound=bound, mu=mu, sigma2=sigma2)
 
 
 def clt_min_index(beta_plus: float, lambda_plus: float,

@@ -28,6 +28,9 @@ MARTINGALE_RESIDUAL_TOL = 1e-10
 
 _REL_TOL = 1e-12
 
+#: lower end of the clipped search interval for the downward curve tilt
+_THETA_FLOOR = -1e6
+
 
 @dataclass(frozen=True)
 class EsscherPair:
@@ -167,23 +170,17 @@ def esscher_martingale(p: TemperedStableParams, r: float, q_div: float) -> Marti
                            new_params=new_params)
 
 
-def _curve_brackets(p: TemperedStableParams, theta_floor: float):
+def _curve_brackets(p: TemperedStableParams):
     # clipped search interval for the downward tilt, shared by the domain
     # computation and the per-theta solve so they agree on solvability
     hi = p.minus.lam - 1e-9
-    lo = min(theta_floor, hi - 1.0)
+    lo = min(_THETA_FLOOR, hi - 1.0)
     return lo, hi
 
 
-def phi_domain(p: TemperedStableParams, r: float, q_div: float,
-               theta_floor: float = -1e6) -> tuple[float, float]:
-    """Endpoints (theta1, theta2) of the bilateral martingale curve.
-
-    The endpoints are located numerically as the upward tilts where the
-    downward-tilt equation loses solvability on the clipped search
-    bracket: below theta1 the downward tilt would have to fall past the
-    floor, above theta2 it would have to reach the downward rate itself.
-    """
+def _require_curve(p: TemperedStableParams, r: float, q_div: float) -> None:
+    # the upward part of Psi(1) is bounded by -alpha+ Gamma(-beta+); the
+    # curve exists only when that supremum exceeds r - q
     _check_market(r, q_div)
     _require_positive_betas(p, "the bilateral martingale curve")
     rq = r - q_div
@@ -193,9 +190,21 @@ def phi_domain(p: TemperedStableParams, r: float, q_div: float,
             "no bilateral tilt is a martingale measure: "
             f"-alpha+ * Gamma(-beta+) = {sup_plus} <= r - q = {rq}"
         )
+
+
+def phi_domain(p: TemperedStableParams, r: float, q_div: float) -> tuple[float, float]:
+    """Endpoints (theta1, theta2) of the bilateral martingale curve.
+
+    The endpoints are located numerically as the upward tilts where the
+    downward-tilt equation loses solvability on the clipped search
+    bracket: below theta1 the downward tilt would have to fall past the
+    floor, above theta2 it would have to reach the downward rate itself.
+    """
+    _require_curve(p, r, q_div)
+    rq = r - q_div
     hi = p.plus.lam - 1.0
-    lo = max(theta_floor, hi - 1e6)
-    tm_lo, tm_hi = _curve_brackets(p, theta_floor)
+    lo = max(_THETA_FLOOR, hi - 1e6)
+    tm_lo, tm_hi = _curve_brackets(p)
 
     def solve_plus(target: float) -> float:
         # plus part is strictly increasing from ~0 (theta -> -inf) to sup_plus
@@ -212,18 +221,20 @@ def phi_domain(p: TemperedStableParams, r: float, q_div: float,
 
 
 def martingale_curve_phi(p: TemperedStableParams, theta: float,
-                         r: float, q_div: float,
-                         theta_floor: float = -1e6) -> float:
+                         r: float, q_div: float) -> float:
     """Downward tilt paired with ``theta`` on the bilateral martingale curve.
 
     Solves the martingale condition for the second tilt by bracketed
     root-finding; the residual in the condition is strictly decreasing in
-    the downward tilt, which makes the bracket safe.
+    the downward tilt, which makes the bracket safe.  A residual without
+    a sign change on the clipped bracket is the same solvability test
+    that ``phi_domain`` locates the curve endpoints with.
     """
-    theta1, theta2 = phi_domain(p, r, q_div, theta_floor)
-    if not (theta1 < theta < theta2):
+    _require_curve(p, r, q_div)
+    if not theta <= p.plus.lam - 1.0:
         raise DomainError(
-            f"theta = {theta} outside the curve domain ({theta1}, {theta2})"
+            f"theta = {theta} outside the curve domain: it must not exceed "
+            f"lambda+ - 1 = {p.plus.lam - 1.0}"
         )
     rq = r - q_div
     plus = _plus_part(p, theta)
@@ -231,12 +242,12 @@ def martingale_curve_phi(p: TemperedStableParams, theta: float,
     def residual(theta_minus: float) -> float:
         return plus + _minus_part(p, theta_minus) - rq
 
-    lo, hi = _curve_brackets(p, theta_floor)
+    lo, hi = _curve_brackets(p)
     r_lo, r_hi = residual(lo), residual(hi)
     if not (r_hi < 0.0 < r_lo):
-        raise NoMartingaleMeasureError(
-            f"downward tilt equation has no root for theta = {theta}: "
-            f"residuals at the clipped bracket are ({r_lo}, {r_hi})"
+        raise DomainError(
+            f"theta = {theta} outside the curve domain: the downward tilt "
+            f"equation has residuals ({r_lo}, {r_hi}) at the clipped bracket"
         )
     return brentq(residual, lo, hi, xtol=1e-14, rtol=8.9e-16)
 

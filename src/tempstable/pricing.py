@@ -20,6 +20,10 @@ from .errors import ConvergenceError, DomainError
 from .params import TemperedStableParams
 from .simulate import sample_one_sided
 
+#: trapezoid nodes of the first quadrature pass, and how often they may double
+_NODES = 2**14
+_MAX_DOUBLINGS = 6
+
 
 @dataclass(frozen=True)
 class MarketConfig:
@@ -54,8 +58,7 @@ def default_contour(p_q: TemperedStableParams) -> float:
 
 
 def call_price_fourier(p_q: TemperedStableParams, market: MarketConfig,
-                       option: OptionSpec, nu: float | None = None,
-                       nodes: int = 2**14, max_doublings: int = 6) -> float:
+                       option: OptionSpec, nu: float | None = None) -> float:
     """Call price by contour integration at height ``nu``.
 
     The trapezoid discretization doubles its truncation point until the
@@ -99,8 +102,8 @@ def call_price_fourier(p_q: TemperedStableParams, market: MarketConfig,
     prefactor = -math.exp(-market.r * option.maturity) * option.strike \
         * math.exp(-nu * k) / (2.0 * math.pi)
     price_prev = None
-    n = nodes
-    for _ in range(max_doublings + 1):
+    n = _NODES
+    for _ in range(_MAX_DOUBLINGS + 1):
         u = np.linspace(0.0, upper, n + 1)
         vals = integrand(u)
         integral = 2.0 * float(np.real(np.trapezoid(vals, u)))
@@ -112,8 +115,8 @@ def call_price_fourier(p_q: TemperedStableParams, market: MarketConfig,
         price_prev = price
         n *= 2
     raise ConvergenceError(
-        "pricing quadrature did not stabilize; increase nodes or max_doublings, "
-        "or move the contour height nu toward 1 for deep in-the-money strikes"
+        "pricing quadrature did not stabilize; move the contour height nu "
+        "toward 1 for deep in-the-money strikes"
     )
 
 
@@ -144,6 +147,10 @@ def mc_call_price(p_q: TemperedStableParams, market: MarketConfig,
 def put_price(p_q: TemperedStableParams, market: MarketConfig,
               option: OptionSpec, nu: float | None = None) -> float:
     """Put via parity against the forward of the martingale-measure law."""
-    call = call_price_fourier(p_q, market, option, nu)
+    return parity_put(call_price_fourier(p_q, market, option, nu), market, option)
+
+
+def parity_put(call: float, market: MarketConfig, option: OptionSpec) -> float:
+    """Put price from the call price of the same option by put-call parity."""
     forward = market.s0 * math.exp(-market.q_div * option.maturity)
     return call - forward + option.strike * math.exp(-market.r * option.maturity)

@@ -247,3 +247,125 @@ def test_numerical_failure_exit_code(runner, tmp_path):
     result = runner.invoke(main, ["density", "--params", str(path)])
     assert result.exit_code == 3
     assert "NO_CONVERGENCE" in result.output
+
+
+def _strict_loads(text):
+    # NaN, Infinity and -Infinity are not JSON; refuse them
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def _invoke_json(runner, args):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0, result.output
+    return _strict_loads(result.stdout)
+
+
+def test_diagnose_json_round_trips_library_values(runner, tmp_path):
+    law = ts.TemperedStableParams.create(1.0, 0.5, 2.0, 0.5, 0.4, 3.0)
+    path = tmp_path / "law.json"
+    ts.save_params(law, path)
+    report = _invoke_json(runner, ["diagnose", "--params", str(path), "--json"])
+    stats = ts.moment_stats(law)
+    be = ts.berry_esseen_bound(law)
+    br = ts.mode_bracket(law)
+    assert report["params"] == ts.params_to_dict(law)
+    assert type(report["params"]["alpha_plus"]) is float
+    assert [report[k] for k in ("mean", "variance", "skewness", "kurtosis")] == [
+        stats.mean, stats.variance, stats.skewness, stats.kurtosis]
+    assert report["berry_esseen_bound"] == be.bound
+    assert report["berry_esseen_vacuous"] is bool(be.vacuous)
+    assert report["bg_index"] == ts.bg_index(law)
+    assert report["mode_bracket"] == {"lower": br.lower, "upper": br.upper}
+    assert report["tail_constant"] == ts.tail_constant(law)
+
+
+def test_measure_json_round_trips_library_values(runner, params_file, skewed_tight):
+    r, q = 0.04, 0.01
+    base = ["--params", params_file, "--r", str(r), "--q", str(q)]
+    sol = ts.esscher_martingale(skewed_tight, r, q)
+    out = _invoke_json(runner, ["measure", "esscher", *base])
+    assert (out["theta"], out["residual"]) == (sol.theta, sol.residual)
+    assert out["params"] == ts.params_to_dict(sol.new_params)
+
+    t1, t2 = ts.phi_domain(skewed_tight, r, q)
+    theta = 0.5 * (t1 + t2)
+    out = _invoke_json(runner, ["measure", "curve", *base, "--theta-grid", repr(theta)])
+    point = ts.curve_point(skewed_tight, theta, r, q)
+    assert out["domain"] == [t1, t2]
+    assert out["points"] == [{
+        "theta": theta, "theta_minus": point.theta[1], "residual": point.residual,
+        "params": ts.params_to_dict(point.new_params),
+    }]
+
+    out = _invoke_json(runner, ["measure", "mmm", "--params", params_file, "--r", "0.01"])
+    assert out["c"] == ts.minimal_martingale(skewed_tight, 0.01, 0.0).c
+
+
+def test_esscher_without_measure_prints_null(runner, tmp_path):
+    # lambda+ + lambda- <= 1: no Esscher measure, theta and residual are NaN
+    law = ts.TemperedStableParams.create(0.5, 0.5, 0.6, 0.5, 0.5, 0.3)
+    path = tmp_path / "law.json"
+    ts.save_params(law, path)
+    result = runner.invoke(main, ["measure", "esscher", "--params", str(path), "--r", "0.04"])
+    assert result.exit_code == 0
+    out = _strict_loads(result.stdout)
+    assert out["exists"] is False
+    assert out["theta"] is None and out["residual"] is None
+    assert out["message"] == ts.esscher_martingale(law, 0.04, 0.0).message
+
+
+def test_fit_json_round_trips_library_values(runner, tmp_path, params_file):
+    law = ts.load_params(params_file)
+    data = tmp_path / "obs.csv"
+    obs = ts.simulate_path(law, ts.PathConfig(horizon=400.0, step=1.0, seed=11)).values
+    np.savetxt(data, np.diff(obs), fmt="%.17g")
+    result = runner.invoke(main, ["fit", str(data), "--init", params_file])
+    k = ts.sample_cumulants(np.loadtxt(data, ndmin=1))
+    fit = ts.fit_two_sided(k, law)
+    assert result.exit_code == (0 if fit.converged else 3)
+    assert _strict_loads(result.stdout) == {
+        "params": ts.params_to_dict(fit.params), "residual": fit.residual,
+        "iterations": fit.iterations, "converged": fit.converged, "n_obs": k.n_obs,
+    }
+
+
+def test_price_runs_the_quadrature_once(runner, tmp_path, skewed_tight, monkeypatch):
+    import tempstable.pricing as pricing
+
+    pq = ts.esscher_martingale(skewed_tight, 0.04, 0.01).new_params
+    path = tmp_path / "pq.json"
+    ts.save_params(pq, path)
+    calls = []
+    real = pricing.call_price_fourier
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pricing, "call_price_fourier", counting)
+    out = _invoke_json(runner, [
+        "price", "--params", str(path), "--s0", "100", "--r", "0.04", "--q", "0.01",
+        "--strike", "105", "--maturity", "1.0",
+    ])
+    assert len(calls) == 1
+    monkeypatch.undo()
+    market, option = ts.MarketConfig(100.0, 0.04, 0.01), ts.OptionSpec(105.0, 1.0)
+    assert out["nu"] == ts.default_contour(pq)
+    assert out["price"] == ts.call_price_fourier(pq, market, option, out["nu"])
+    assert out["put"] == ts.put_price(pq, market, option, out["nu"])
+
+
+@pytest.mark.parametrize("law", [
+    (1000.0, 0.5, 1000.0, 1.0, 0.5, 1.0),  # overflows the tail constant's exp
+    (10000.0, 0.01, 1.0, 1.0, 0.5, 1.0),  # alpha^(1/beta) overflows in the mode bracket
+])
+def test_diagnose_extreme_law_is_domain_error(runner, tmp_path, law):
+    path = tmp_path / "law.json"
+    ts.save_params(ts.TemperedStableParams.create(*law), path)
+    result = runner.invoke(main, ["diagnose", "--params", str(path), "--json"])
+    assert result.exit_code == 2
+    assert result.stderr.startswith("error PARAM_DOMAIN:")
+    assert "tail constant overflows" in result.stderr

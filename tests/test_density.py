@@ -263,6 +263,19 @@ class TestModeBracket:
         with pytest.raises(DomainError):
             ts.mode_bracket(GAMMA_PROXY)
 
+    def test_small_beta_bracket_is_finite(self):
+        # alpha^(1/beta) and (alpha/(1-beta))^(1/beta) overflow here; both
+        # are bounds the bracket discards
+        leg = OneSidedParams(10000.0, 0.01, 1.0)
+        br = ts.mode_bracket(leg)
+        assert 0.0 < br.lower < br.upper < math.inf
+        xi0 = ts.mode_fixed_point(leg)
+        log_a = math.log(leg.alpha)
+        assert math.log(xi0) == pytest.approx(log_a / leg.beta - leg.lam * xi0 / leg.beta,
+                                              rel=1e-12)
+        two = ts.mode_bracket(TemperedStableParams.create(10000.0, 0.01, 1.0, 1.0, 0.5, 1.0))
+        assert -math.inf < two.lower < two.upper < math.inf
+
 
 class TestMode:
     def test_symmetric_mode_at_origin(self, sym_half):
@@ -356,3 +369,13 @@ class TestAsymptotics:
     def test_tail_constant_rejects_gamma_legs(self):
         with pytest.raises(DomainError):
             ts.tail_constant(GAMMA_PROXY)
+
+    @pytest.mark.parametrize("law", [
+        (1000.0, 0.5, 1000.0, 1.0, 0.5, 1.0), (10000.0, 0.01, 1.0, 1.0, 0.5, 1.0),
+    ])
+    def test_tail_constant_overflow_is_domain_error(self, law):
+        p = TemperedStableParams.create(*law)
+        with pytest.raises(DomainError, match="overflows"):
+            ts.tail_constant(p)
+        with pytest.raises(DomainError, match="overflows"):
+            ts.tail_constant_one_sided(p.plus)

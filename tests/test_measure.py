@@ -205,6 +205,16 @@ class TestMartingaleCurve:
         with pytest.raises(DomainError):
             ts.martingale_curve_phi(skewed_tight, t2 + 0.5, r, q)
 
+    def test_theta_outside_domain_named(self, skewed_tight):
+        # below theta1, between theta2 and lambda+ - 1, and above lambda+ - 1
+        r, q = 0.04, 0.01
+        t1, t2 = ts.phi_domain(skewed_tight, r, q)
+        edge = skewed_tight.plus.lam - 1.0
+        assert t2 < edge
+        for theta in (t1 - 0.5, 0.5 * (t2 + edge), edge + 0.5):
+            with pytest.raises(DomainError, match="outside the curve domain"):
+                ts.martingale_curve_phi(skewed_tight, theta, r, q)
+
 
 class TestMinimalMartingale:
     @pytest.fixture
