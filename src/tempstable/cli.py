@@ -114,8 +114,8 @@ def density(ctx, params_path, nodes, extent_sd, tilt, out_path):
 @click.option("--params", "params_path", required=True, type=click.Path(exists=True))
 @click.option("--horizon", required=True, type=float)
 @click.option("--step", required=True, type=float)
-@click.option("--seed", required=True, type=int)
-@click.option("--paths", default=1, show_default=True)
+@click.option("--seed", required=True, type=click.IntRange(min=0))
+@click.option("--paths", default=1, show_default=True, type=click.IntRange(min=0))
 @click.option("--jump-floor", default=0.0, show_default=True)
 @click.option("--out", "out_dir", required=True, type=click.Path())
 @click.pass_context
@@ -282,7 +282,7 @@ def mmm(params_path, r_rate, q_div):
 @click.option("--nu", default=None, type=float)
 @click.option("--mc-check", default=0, type=int,
               help="also price by Monte Carlo with this many paths")
-@click.option("--seed", default=20240801, type=int)
+@click.option("--seed", default=20240801, type=click.IntRange(min=0))
 def price(params_path, s0, r_rate, q_div, strike, maturity, nu, mc_check, seed):
     """Price a European call (and the parity put) under the given law."""
     p = _load_two_sided(params_path)

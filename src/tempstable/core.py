@@ -184,13 +184,6 @@ def marginal(p: TemperedStableParams, t: float) -> TemperedStableParams:
 
 
 def third_moment_one_sided(p: OneSidedParams) -> float:
-    """Third raw moment of a one-sided law, in the factored closed form
-    Gamma(1-b) a / l^(3-b) * [Gamma(1-b)^2 a^2 l^(2b) + 3(1-b)Gamma(1-b) a l^b + (1-b)(2-b)].
-    """
-    a, b, lam = p.alpha, p.beta, p.lam
-    g1 = _gamma(1.0 - b)
-    return (g1 * a / lam ** (3.0 - b)) * (
-        g1**2 * a**2 * lam ** (2.0 * b)
-        + 3.0 * (1.0 - b) * g1 * a * lam**b
-        + (1.0 - b) * (2.0 - b)
-    )
+    """Third raw moment of a one-sided law, k1^3 + 3 k1 k2 + k3."""
+    k1, k2, k3 = (cumulant_one_sided(p, n) for n in (1, 2, 3))
+    return k1**3 + 3.0 * k1 * k2 + k3

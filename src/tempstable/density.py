@@ -1,6 +1,6 @@
 """Density and distribution-function evaluation by Fourier inversion,
-mode location inside analytic brackets, and the small-x / large-x
-asymptotics of the density.
+mode location from the inversion grid, analytic mode brackets, and the
+small-x / large-x asymptotics of the density.
 
 The laws here have no closed-form densities, but the characteristic
 function decays like a stretched exponential, so a single damped
@@ -18,8 +18,8 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
-from scipy.special import gamma as _gamma
+from scipy.optimize import minimize_scalar
+from scipy.special import gamma as _gamma, wrightomega
 
 from .core import (
     cgf,
@@ -197,17 +197,21 @@ class DensityEvaluator:
         )
 
     def pdf(self, x):
-        """Pointwise density at arbitrary x (vectorized), clamped at 0."""
+        """Pointwise density at arbitrary x (vectorized), clamped at 0.
+
+        0 outside the window [x_lo, x_lo + n dx), where the Fourier sum
+        would repeat the density with period n dx; ``cdf`` is 0 or 1 there.
+        """
         xs = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.empty_like(xs)
+        out = np.zeros_like(xs)
+        inside = np.flatnonzero((xs >= self._x_lo) & (xs < self._x_lo + self._n * self._dx))
         k = self._support
         z, phi = self._z[:k], self._phi[:k]
         chunk = max(1, int(4e6) // k)
-        for i in range(0, xs.size, chunk):
-            block = xs[i:i + chunk]
-            kern = np.exp(-1j * np.outer(block, z))
-            out[i:i + chunk] = (self._dz / math.pi) * np.real(kern @ phi)
-        out = out * self._tilt_factor(xs)
+        for i in range(0, inside.size, chunk):
+            idx = inside[i:i + chunk]
+            kern = np.exp(-1j * np.outer(xs[idx], z))
+            out[idx] = (self._dz / math.pi) * np.real(kern @ phi) * self._tilt_factor(xs[idx])
         out = np.maximum(out, 0.0)
         return float(out[0]) if np.ndim(x) == 0 else out
 
@@ -230,6 +234,16 @@ class DensityEvaluator:
         out = np.interp(np.asarray(x, dtype=float), xg, cg, left=0.0, right=1.0)
         return float(out) if np.ndim(x) == 0 else out
 
+    def mode(self) -> float:
+        """Location of the maximum of the density: a bounded Brent search
+        between the two neighbours of the grid argmax, to 1e-8 std."""
+        g = self.grid()
+        i = int(np.argmax(g.pdf))
+        lo, hi = g.x[max(i - 1, 0)], g.x[min(i + 1, self._n - 1)]
+        res = minimize_scalar(lambda x: -self.pdf(x), bounds=(lo, hi), method="bounded",
+                              options={"xatol": 1e-8 * self._sigma})
+        return float(res.x)
+
 
 def pdf(p: TemperedStableParams, x, settings: InversionSettings | None = None):
     return DensityEvaluator(p, settings).pdf(x)
@@ -249,30 +263,18 @@ def density_grid(p: TemperedStableParams, settings: InversionSettings | None = N
 def mode_fixed_point(p: OneSidedParams) -> float:
     """Unique solution of alpha^(1/beta) exp(-(lambda/beta) xi) = xi.
 
-    The left side is strictly decreasing in xi, so bisection below an
-    upper bound of the root is safe.
+    With u = (lambda/beta) xi the equation reads u + ln u = ln(lambda/beta)
+    + ln(alpha)/beta, so u is the Wright omega function of the right side.
     """
     if not (0.0 < p.beta < 1.0):
         raise DomainError("fixed point defined for beta in (0, 1) only")
     a, b, lam = p.alpha, p.beta, p.lam
-    log_a = math.log(a)
-    # the root is below alpha^(1/beta), and a root above 1 is below
-    # ln(alpha)/lambda; the first bound overflows for small beta, so the
-    # smaller of the two is taken in log space
-    hi = math.exp(min(log_a / b, math.log(max(1.0, log_a / lam))))
-
-    def h(xi):
-        return (log_a / b - (lam / b) * xi) - math.log(xi)
-
-    lo = 1e-12 * min(hi, 1.0)
-    if not lo > 0.0:
-        raise DomainError(f"the mode fixed point underflows: ln(xi0) < {log_a / b:.6g}")
-    # expand the lower end until the decreasing map is above the diagonal
-    while h(lo) <= 0.0:
-        lo *= 0.5
-        if lo < 1e-300:
-            raise ConvergenceError("fixed-point bracket collapsed")
-    return brentq(h, lo, hi, xtol=1e-15, rtol=8.9e-16)
+    z = math.log(lam) - math.log(b) + math.log(a) / b
+    xi0 = (b / lam) * float(wrightomega(z))
+    if not 0.0 < xi0 < math.inf:
+        raise DomainError(f"the mode fixed point xi0 = {xi0} leaves the float range: "
+                          f"lambda xi0 / beta is the Wright omega of {z:.6g}")
+    return xi0
 
 
 def _one_sided_bracket(p: OneSidedParams) -> ModeBracket:
@@ -304,22 +306,9 @@ def mode_bracket(p) -> ModeBracket:
 
 
 def mode(p: TemperedStableParams, settings: InversionSettings | None = None) -> float:
-    """Location of the unique maximum of the density.
-
-    Uses the analytic bracket when both stability legs are positive
-    (unimodality makes a bounded Brent search valid); Gamma legs fall back
-    to the window spanned by the per-leg means.
-    """
-    ev = DensityEvaluator(p, settings)
-    if p.plus.beta > 0.0 and p.minus.beta > 0.0:
-        br = mode_bracket(p)
-        lo, hi = br.lower, br.upper
-    else:
-        lo = -cumulant_one_sided(p.minus, 1)
-        hi = cumulant_one_sided(p.plus, 1)
-    res = minimize_scalar(lambda x: -ev.pdf(x), bounds=(lo, hi), method="bounded",
-                          options={"xatol": 1e-8 * ev._sigma})
-    return float(res.x)
+    """Location of the unique maximum of the density; see
+    ``DensityEvaluator.mode``, which reuses a plan the caller holds."""
+    return DensityEvaluator(p, settings).mode()
 
 
 # -- asymptotics -------------------------------------------------------------

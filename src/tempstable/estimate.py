@@ -183,10 +183,13 @@ def _validate_init(init: TemperedStableParams) -> None:
             )
 
 
-def _validate_max_iter(max_iter: int) -> None:
+def _validate_budget(tol: float, max_iter: int) -> None:
     # MINPACK reads a non-positive evaluation cap as "use the default"
     if not max_iter >= 1:
         raise DomainError(f"max_iter must be at least 1, got {max_iter}")
+    # an infinite tol would call any fit converged, a nan or negative one none
+    if not 0.0 < tol < math.inf:
+        raise DomainError(f"tol must be positive and finite, got {tol}")
 
 
 def _scaled_system(kappa, scale):
@@ -222,7 +225,7 @@ def fit_two_sided(k, init: TemperedStableParams,
     max(|kappa_j|, k2^(j/2)).  On failure the final iterate is returned
     with ``converged=False``.
     """
-    _validate_max_iter(max_iter)
+    _validate_budget(tol, max_iter)
     kappa = _kappa_of(k)
     if kappa.size != 6:
         raise DomainError("need exactly six cumulants")
@@ -271,7 +274,7 @@ def _default_starts(kappa) -> list[TemperedStableParams]:
 def multistart_fit_two_sided(k, tol: float = 1e-12, max_iter: int = 200) -> FitResult:
     """Run the solve from the default start set and keep the best
     residual; ties break deterministically on start index."""
-    _validate_max_iter(max_iter)
+    _validate_budget(tol, max_iter)
     kappa = _kappa_of(k)
     best = None
     for start in _default_starts(kappa):

@@ -142,7 +142,7 @@ def esscher_martingale(p: TemperedStableParams, r: float, q_div: float) -> Marti
     Existence needs lambda+ + lambda- > 1 and r - q inside the range of
     the tilt function; the solve then brackets the unique root.
     """
-    _check_market(r, q_div)
+    check_market(r, q_div)
     _require_positive_betas(p, "the Esscher martingale condition")
     lp, lm = p.plus.lam, p.minus.lam
     if not (lp + lm > 1.0):
@@ -181,7 +181,7 @@ def _curve_brackets(p: TemperedStableParams):
 def _require_curve(p: TemperedStableParams, r: float, q_div: float) -> None:
     # the upward part of Psi(1) is bounded by -alpha+ Gamma(-beta+); the
     # curve exists only when that supremum exceeds r - q
-    _check_market(r, q_div)
+    check_market(r, q_div)
     _require_positive_betas(p, "the bilateral martingale curve")
     rq = r - q_div
     sup_plus = -p.plus.alpha * gamma_neg(p.plus.beta)
@@ -270,7 +270,7 @@ def minimal_martingale(p: TemperedStableParams, r: float, q_div: float) -> Minim
     original law and a reweighted unit-tilted copy.  Requires
     lambda+ >= 2 so the generating function at 2 is defined.
     """
-    _check_market(r, q_div)
+    check_market(r, q_div)
     _require_positive_betas(p, "the minimal martingale measure")
     if not (p.plus.lam >= 2.0):
         raise DomainError(f"minimal martingale measure requires lambda+ >= 2, got {p.plus.lam}")
@@ -306,6 +306,7 @@ def _check_residual(residual: float) -> None:
         )
 
 
-def _check_market(r: float, q_div: float) -> None:
-    if not (r >= q_div >= 0.0):
-        raise DomainError(f"market rates must satisfy r >= q >= 0, got r={r}, q={q_div}")
+def check_market(r: float, q_div: float) -> None:
+    """The rates of the exponential stock model: finite, with r >= q >= 0."""
+    if not (math.inf > r >= q_div >= 0.0):
+        raise DomainError(f"market rates must be finite with r >= q >= 0, got r={r}, q={q_div}")

@@ -12,6 +12,7 @@ limit.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -27,15 +28,15 @@ class OneSidedParams:
     lam: float
 
     def __post_init__(self):
-        if not (self.alpha > 0.0):
-            raise DomainError(f"alpha must be positive, got {self.alpha}")
+        if not (0.0 < self.alpha < math.inf):
+            raise DomainError(f"alpha must be positive and finite, got {self.alpha}")
         if not (0.0 <= self.beta < 1.0):
             raise DomainError(
                 f"beta must lie in [0, 1), got {self.beta}; "
                 "infinite-variation parameterizations are not supported"
             )
-        if not (self.lam > 0.0):
-            raise DomainError(f"lambda must be positive, got {self.lam}")
+        if not (0.0 < self.lam < math.inf):
+            raise DomainError(f"lambda must be positive and finite, got {self.lam}")
 
 
 @dataclass(frozen=True)

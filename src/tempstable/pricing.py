@@ -17,6 +17,7 @@ import numpy as np
 
 from .core import cgf, log_cf, marginal
 from .errors import ConvergenceError, DomainError
+from .measure import check_market
 from .params import TemperedStableParams
 from .simulate import sample_one_sided
 
@@ -32,12 +33,9 @@ class MarketConfig:
     q_div: float = 0.0
 
     def __post_init__(self):
-        if not (self.s0 > 0.0):
-            raise DomainError("spot must be positive")
-        if not (self.r >= self.q_div >= 0.0):
-            raise DomainError(
-                f"rates must satisfy r >= q >= 0, got r={self.r}, q={self.q_div}"
-            )
+        if not (0.0 < self.s0 < math.inf):
+            raise DomainError(f"spot must be positive and finite, got {self.s0}")
+        check_market(self.r, self.q_div)
 
 
 @dataclass(frozen=True)
@@ -46,8 +44,8 @@ class OptionSpec:
     maturity: float
 
     def __post_init__(self):
-        if not (self.strike > 0.0 and self.maturity > 0.0):
-            raise DomainError("strike and maturity must be positive")
+        if not (0.0 < self.strike < math.inf and 0.0 < self.maturity < math.inf):
+            raise DomainError("strike and maturity must be positive and finite")
 
 
 def default_contour(p_q: TemperedStableParams) -> float:
@@ -128,6 +126,8 @@ def mc_call_price(p_q: TemperedStableParams, market: MarketConfig,
     """
     if n_paths < 1000:
         raise DomainError("need at least 1000 paths for a meaningful estimate")
+    if not seed >= 0:
+        raise DomainError(f"seed must be nonnegative, got {seed}")
     ss = np.random.SeedSequence(seed)
     child_plus, child_minus = ss.spawn(2)
     x_plus = sample_one_sided(p_q.plus, option.maturity,

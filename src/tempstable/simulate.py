@@ -33,15 +33,18 @@ class PathConfig:
     jump_floor: float = 0.0
 
     def __post_init__(self):
-        if not (self.horizon > 0.0 and self.step > 0.0):
-            raise DomainError("horizon and step must be positive")
-        n = round(self.horizon / self.step)
+        if not (0.0 < self.horizon < math.inf and 0.0 < self.step < math.inf):
+            raise DomainError("horizon and step must be positive and finite")
+        ratio = self.horizon / self.step
+        n = round(ratio) if ratio < math.inf else 0
         if n < 1 or abs(n * self.step - self.horizon) > 1e-12 * self.horizon:
             raise DomainError(
                 f"step {self.step} does not divide horizon {self.horizon}"
             )
-        if self.jump_floor < 0.0:
-            raise DomainError("jump_floor must be nonnegative")
+        if not (0.0 <= self.jump_floor < math.inf):
+            raise DomainError(f"jump_floor must be nonnegative and finite, got {self.jump_floor}")
+        if not self.seed >= 0:
+            raise DomainError(f"seed must be nonnegative, got {self.seed}")
 
     @property
     def n_steps(self) -> int:

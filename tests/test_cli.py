@@ -369,3 +369,48 @@ def test_diagnose_extreme_law_is_domain_error(runner, tmp_path, law):
     assert result.exit_code == 2
     assert result.stderr.startswith("error PARAM_DOMAIN:")
     assert "tail constant overflows" in result.stderr
+
+
+
+def test_diagnose_subnormal_fixed_point(runner, tmp_path):
+    # the upward leg's mode fixed point is about 2e-311
+    path = tmp_path / "law.json"
+    ts.save_params(ts.TemperedStableParams.create(
+        2.2163056666663525e-4, 0.011763846646541032, 147.68647095934816, 1.0, 0.5, 1.0), path)
+    result = runner.invoke(main, ["diagnose", "--params", str(path), "--json"])
+    assert result.exit_code == 0, result.output
+    bracket = json.loads(result.output)["mode_bracket"]
+    assert bracket["lower"] < bracket["upper"]
+
+
+_PRICE = "price --params {law} --s0 100 --r 0.04 --strike 105 --maturity 1"
+_SIMULATE = "simulate --params {law} --horizon 1 --step 0.25 --seed 1 --out {out}"
+
+
+# click keeps the last value of a repeated option, so each case overrides
+# one valid value with a bad one
+@pytest.mark.parametrize("command, law_override", [
+    (_PRICE + " --s0 inf", {}),
+    (_PRICE + " --strike inf", {}),
+    (_PRICE + " --maturity inf", {}),
+    (_PRICE + " --r inf", {}),
+    (_PRICE + " --seed -1", {}),
+    ("diagnose --params {law}", {"lambda_plus": float("inf")}),
+    ("measure esscher --params {law} --r inf", {}),
+    (_SIMULATE + " --seed -1", {}),
+    (_SIMULATE + " --horizon inf", {}),
+    (_SIMULATE + " --jump-floor inf", {}),
+    (_SIMULATE + " --paths -1", {}),
+], ids=["s0", "strike", "maturity", "r", "price-seed", "lambda-file", "esscher-r",
+        "simulate-seed", "horizon", "jump-floor", "paths"])
+def test_non_finite_or_negative_input_exits_2(runner, tmp_path, params_file,
+                                              command, law_override):
+    law = tmp_path / "law.json"
+    law.write_text(json.dumps({**json.loads(open(params_file).read()), **law_override}))
+    args = command.format(law=law, out=tmp_path / "paths").split()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert "Traceback" not in result.output
+    assert caught == []

@@ -1,7 +1,10 @@
 import math
+import warnings
+from dataclasses import astuple
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.stats import gamma as gamma_dist
 
 import tempstable as ts
@@ -21,6 +24,9 @@ README_LAW = TemperedStableParams.create(1.0, 0.3, 3.0, 2.0, 0.6, 4.0)
 # small stability indices: the node count follows from the frequency
 # extent and |phi| never drops below 1e-16 on the planned grid
 SLOW_LAW = TemperedStableParams.create(1.0, 0.1, 1.0, 1.0, 0.1, 1.0)
+# the analytic mode bracket reaches below the +-12 sd window, where the
+# pointwise Fourier sum repeats the density one window period away
+WIDE_BRACKET_LAW = TemperedStableParams.create(3.0, 0.95, 1.0, 1.0, 0.5, 1.0)
 
 
 def _direct_dft_pdf(p, settings, xs):
@@ -62,6 +68,18 @@ class TestPdf:
         ev = ts.DensityEvaluator(GAMMA_PROXY, GAMMA_SETTINGS)
         xs = np.linspace(0.05, 10.0, 40)
         assert np.max(np.abs(ev.pdf(xs) - gamma_dist.pdf(xs, 2.0))) < 1e-5
+
+    @pytest.mark.parametrize("law", [README_LAW, WIDE_BRACKET_LAW])
+    def test_zero_outside_window(self, law):
+        ev = ts.DensityEvaluator(law)
+        g = ev.grid()
+        period = g.meta["nodes"] * (g.x[1] - g.x[0])
+        peak = g.x[np.argmax(g.pdf)]
+        images = np.array([peak - period, peak + period, g.x[0] - 1e-9 * period])
+        assert np.all(ev.pdf(images) == 0.0)
+        stats = ts.moment_stats(law)
+        assert ev.pdf(stats.mean - 20.0 * math.sqrt(stats.variance)) == 0.0
+        assert ev.pdf(g.x[-1]) == pytest.approx(g.pdf[-1], abs=1e-12)
 
     def test_unit_mass(self, skewed):
         g = ts.density_grid(skewed)
@@ -277,6 +295,30 @@ class TestModeBracket:
         assert -math.inf < two.lower < two.upper < math.inf
 
 
+def _finite_or_domain_error(call):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            values = call()
+        except DomainError:
+            return
+    assert all(math.isfinite(v) for v in values if v is not None), values
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(alpha=st.floats(1e-6, 1e6),
+       beta=st.one_of(st.just(0.0), st.floats(1e-9, 0.999)),
+       lam=st.floats(1e-3, 1e3))
+# a subnormal fixed point, where a bracketed root search raised a raw ValueError
+@example(alpha=2.2163056666663525e-4, beta=0.011763846646541032, lam=147.68647095934816)
+def test_fixed_point_and_bracket_finite_or_domain_error(alpha, beta, lam):
+    leg = OneSidedParams(alpha, beta, lam)
+    _finite_or_domain_error(lambda: [ts.mode_fixed_point(leg)])
+    _finite_or_domain_error(lambda: astuple(ts.mode_bracket(leg)))
+    _finite_or_domain_error(lambda: astuple(ts.mode_bracket(
+        TemperedStableParams(leg, OneSidedParams(1.0, 0.5, 1.0)))))
+
+
 class TestMode:
     def test_symmetric_mode_at_origin(self, sym_half):
         sigma = math.sqrt(ts.moment_stats(sym_half).variance)
@@ -285,6 +327,20 @@ class TestMode:
     def test_near_gamma_mode(self):
         # dominant Gamma(2, 1) leg peaks near (alpha - 1) / lambda = 1
         assert ts.mode(GAMMA_PROXY, GAMMA_SETTINGS) == pytest.approx(1.0, abs=2e-3)
+
+    def test_wide_bracket_mode_at_grid_argmax(self):
+        g = ts.density_grid(WIDE_BRACKET_LAW)
+        x_hat = g.x[np.argmax(g.pdf)]
+        assert abs(ts.mode(WIDE_BRACKET_LAW) - x_hat) <= g.x[1] - g.x[0]
+
+    def test_evaluator_mode_plans_once(self, skewed, monkeypatch):
+        plans = []
+        plan = ts.DensityEvaluator._plan
+        monkeypatch.setattr(ts.DensityEvaluator, "_plan",
+                            lambda self: plans.append(plan(self)))
+        ev = ts.DensityEvaluator(skewed)
+        ev.mode()
+        assert len(plans) == 1
 
     def test_local_maximality(self, skewed):
         ev = ts.DensityEvaluator(skewed)

@@ -207,6 +207,14 @@ class TestFitTwoSided:
         with pytest.raises(DomainError, match="max_iter"):
             ts.multistart_fit_two_sided(kappa, max_iter=max_iter)
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.inf, math.nan])
+    def test_tol_outside_positive_reals_rejected(self, skewed, tol):
+        kappa = [ts.cumulant(skewed, n) for n in range(1, 7)]
+        with pytest.raises(DomainError, match="tol"):
+            ts.fit_two_sided(kappa, skewed, tol=tol)
+        with pytest.raises(DomainError, match="tol"):
+            ts.multistart_fit_two_sided(kappa, tol=tol)
+
     def test_multistart_recovers_population_root(self, skewed):
         kappa = population_kappa(np.array(skewed.as_tuple()))
         fit = ts.multistart_fit_two_sided(kappa)
