@@ -136,10 +136,6 @@ def mean(p: TemperedStableParams) -> float:
     return cumulant(p, 1)
 
 
-def variance(p: TemperedStableParams) -> float:
-    return cumulant(p, 2)
-
-
 def std(p: TemperedStableParams) -> float:
     return math.sqrt(cumulant(p, 2))
 

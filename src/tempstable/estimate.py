@@ -257,11 +257,10 @@ def _default_starts(kappa) -> list[TemperedStableParams]:
     for bp, bm in ((0.5, 0.5), (0.25, 0.25), (0.75, 0.75), (0.25, 0.75),
                    (0.75, 0.25), (0.5, 0.25), (0.25, 0.5), (0.6, 0.6)):
         for lam_scale in (1.0, 3.0):
-            lp = lam_scale / sigma
-            lm = lam_scale / sigma
+            lam = lam_scale / sigma
             try:
-                a_p, a_m = alpha_pair_for_moments(bp, lp, bm, lm, mu, k2)
-                starts.append(TemperedStableParams.create(a_p, bp, lp, a_m, bm, lm))
+                a_p, a_m = alpha_pair_for_moments(bp, lam, bm, lam, mu, k2)
+                starts.append(TemperedStableParams.create(a_p, bp, lam, a_m, bm, lam))
             except DomainError:
                 continue
             if len(starts) >= 8:

@@ -281,21 +281,16 @@ def minimal_martingale(p: TemperedStableParams, r: float, q_div: float) -> Minim
             c=c, exists=False,
             message=f"tilt constant c = {c} outside [-1, 0]",
         )
-    base = None
-    if c + 1.0 > 0.0:
-        base = TemperedStableParams.create(
-            (c + 1.0) * p.plus.alpha, p.plus.beta, p.plus.lam,
-            (c + 1.0) * p.minus.alpha, p.minus.beta, p.minus.lam,
-        )
-    tilted = None
-    if -c > 0.0:
-        tilted = TemperedStableParams.create(
-            -c * p.plus.alpha, p.plus.beta, p.plus.lam - 1.0,
-            -c * p.minus.alpha, p.minus.beta, p.minus.lam + 1.0,
-        )
-    combined = sum(cgf(f, 1.0) for f in (base, tilted) if f is not None)
+    # the law reweighted by c + 1 and its unit tilt reweighted by -c
+    factors = tuple(
+        TemperedStableParams.create(w * p.plus.alpha, p.plus.beta, p.plus.lam - shift,
+                                    w * p.minus.alpha, p.minus.beta, p.minus.lam + shift)
+        if w > 0.0 else None
+        for w, shift in ((c + 1.0, 0.0), (-c, 1.0))
+    )
+    combined = sum(cgf(f, 1.0) for f in factors if f is not None)
     _check_residual(abs(combined - (r - q_div)))
-    return MinimalMartingaleResult(c=c, exists=True, factors=(base, tilted))
+    return MinimalMartingaleResult(c=c, exists=True, factors=factors)
 
 
 def _check_residual(residual: float) -> None:

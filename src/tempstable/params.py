@@ -56,9 +56,6 @@ class TemperedStableParams:
         p, m = self.plus, self.minus
         return (p.alpha, p.beta, p.lam, m.alpha, m.beta, m.lam)
 
-    def is_symmetric(self) -> bool:
-        return self.plus == self.minus
-
 
 @dataclass(frozen=True)
 class MomentStats:

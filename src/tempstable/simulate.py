@@ -98,8 +98,9 @@ def sample_one_sided(p: OneSidedParams, t: float, rng, size=None):
     """Exact draw(s) of the one-sided law at time t.
 
     Gamma case beta = 0 delegates to the Gamma sampler; beta > 0 uses
-    tilted-stable rejection with sub-increment splitting.  ``size=None``
-    returns a scalar.
+    tilted-stable rejection with sub-increment splitting, and a draw of
+    more sub-draws than one chunk holds is a ``DomainError`` before any
+    allocation.  ``size=None`` returns a scalar.
     """
     if not (t > 0.0):
         raise DomainError("time must be positive")
@@ -111,10 +112,13 @@ def sample_one_sided(p: OneSidedParams, t: float, rng, size=None):
 
     beta, lam = p.beta, p.lam
     c_total = a_eff * _gamma(1.0 - beta) / beta
-    m = max(1, math.ceil(c_total * lam**beta))
+    m_exact = c_total * lam**beta
+    if not m_exact <= _CHUNK_SLOTS:
+        raise DomainError(f"one draw needs {m_exact:.3g} sub-draws (cap {_CHUNK_SLOTS})")
+    m = max(1, math.ceil(m_exact))
     c_sub = c_total / m
     out = np.zeros(n)
-    samples_per_chunk = max(1, _CHUNK_SLOTS // m)
+    samples_per_chunk = _CHUNK_SLOTS // m
     for i in range(0, n, samples_per_chunk):
         k = min(samples_per_chunk, n - i)
         sub = _tempered_stable_fill(c_sub, beta, lam, k * m, rng)

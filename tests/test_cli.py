@@ -358,6 +358,26 @@ def test_price_runs_the_quadrature_once(runner, tmp_path, skewed_tight, monkeypa
     assert out["put"] == ts.put_price(pq, market, option, out["nu"])
 
 
+def test_simulate_too_many_sub_draws_exits_2(runner, tmp_path):
+    path = tmp_path / "law.json"
+    ts.save_params(ts.TemperedStableParams.create(7444.0, 2.8e-7, 1.09e-3, 1.0, 0.5, 1.0), path)
+    result = runner.invoke(main, ["simulate", "--params", str(path), "--horizon", "1",
+                                  "--step", "1", "--seed", "0", "--out", str(tmp_path / "out")])
+    assert result.exit_code == 2
+    assert result.stderr.startswith("error PARAM_DOMAIN:")
+
+
+def test_price_plan_over_node_cap_exits_3(runner, tmp_path):
+    law = ts.TemperedStableParams.create(0.30599, 0.36229, 1.00154, 0.68842, 0.68864, 7.26351)
+    path = tmp_path / "law.json"
+    ts.save_params(law, path)
+    result = runner.invoke(main, ["price", "--params", str(path), "--s0", "100",
+                                  "--r", repr(float(ts.cgf(law, 1.0))), "--strike", "100",
+                                  "--maturity", "0.29"])
+    assert result.exit_code == 3
+    assert result.stderr.startswith("error NO_CONVERGENCE: pricing grid needs")
+
+
 @pytest.mark.parametrize("law", [
     (1000.0, 0.5, 1000.0, 1.0, 0.5, 1.0),  # overflows the tail constant's exp
     (10000.0, 0.01, 1.0, 1.0, 0.5, 1.0),  # alpha^(1/beta) overflows in the mode bracket

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 import tempstable as ts
-from tempstable import DomainError, MarketConfig, OptionSpec, TemperedStableParams
+import tempstable.pricing as pricing
+from conftest import carr_madan_call
+from tempstable import (ConvergenceError, DomainError, MarketConfig, OptionSpec,
+                        TemperedStableParams)
+
+#: a Q-law of the pricing benchmark (seed 110) whose lambda+ sits just above 1
+SLOW_DECAY_LAW = (0.30599, 0.36229, 1.00154, 0.68842, 0.68864, 7.26351)
 
 
 @pytest.fixture
@@ -79,7 +85,56 @@ class TestFourierCall:
         assert np.all(np.diff(prices_t) > 0.0)
 
 
+class TestPlannedGrid:
+    @pytest.mark.parametrize("strike, maturity, nu_frac", [
+        (60.0, 0.25, 0.02), (60.0, 3.0, 0.98), (150.0, 0.25, 0.98), (150.0, 3.0, 0.02),
+        (60.0, 1.0, 0.5), (150.0, 1.0, 0.5), (100.0, 0.25, 0.02), (100.0, 3.0, 0.98),
+        (1.0, 3.0, 0.5),  # deep in the money, where the upper-tail term sets the step
+    ])
+    def test_matches_quadrature_oracle(self, risk_neutral, market, strike, maturity, nu_frac):
+        nu = 1.0 + nu_frac * (risk_neutral.plus.lam - 1.0)
+        price = ts.call_price_fourier(risk_neutral, market, OptionSpec(strike, maturity), nu)
+        oracle = carr_madan_call(risk_neutral, market.s0, market.r, strike, maturity, nu)
+        assert abs(price - oracle) <= 1e-9 * market.s0
+
+    def test_deep_in_the_money_matches_quadrature_oracle(self, risk_neutral, market):
+        strike = 1e-8 * market.s0
+        price = ts.call_price_fourier(risk_neutral, market, OptionSpec(strike, 1.0), nu=1.02)
+        oracle = carr_madan_call(risk_neutral, market.s0, market.r, strike, 1.0, 1.02)
+        assert abs(price - oracle) <= 1e-9 * market.s0
+
+    def test_slow_log_strike_decay_fails_in_the_plan(self, monkeypatch):
+        law = TemperedStableParams.create(*SLOW_DECAY_LAW)
+        market = MarketConfig(s0=100.0, r=ts.cgf(law, 1.0), q_div=0.0)  # a martingale law
+        sizes = []
+        real = pricing.log_cf
+
+        def recording(p, z):
+            sizes.append(np.size(z))
+            return real(p, z)
+
+        monkeypatch.setattr(pricing, "log_cf", recording)
+        with pytest.raises(ConvergenceError, match="pricing grid needs"):
+            ts.call_price_fourier(law, market, OptionSpec(100.0, 0.29))
+        # only the extent search and the tail bound ran, never the grid
+        assert sizes and max(sizes) < 100
+
+
 class TestMonteCarloPricer:
+    def test_calibrated_on_heavy_upper_tail(self):
+        # lambda+ < 2: the call payoff has infinite variance, the put's is finite
+        law = TemperedStableParams.create(0.2, 0.5, 1.0046, 0.5, 0.5, 1.4954)
+        market = MarketConfig(s0=100.0, r=ts.cgf(law, 1.0), q_div=0.0)
+        opt = OptionSpec(strike=100.0, maturity=1.0)
+        fourier = ts.call_price_fourier(law, market, opt)
+        z = []
+        for seed in range(40):
+            mc, se = ts.mc_call_price(law, market, opt, 20_000, seed=seed)
+            z.append((mc - fourier) / se)
+        z = np.array(z)
+        assert np.sum(np.abs(z) > 3.0) <= 2
+        assert 0.5 < np.mean(z**2) < 1.5
+
     def test_degenerate_law_hits_intrinsic_value(self, market):
         tiny = TemperedStableParams.create(1e-12, 0.5, 3.0, 1e-12, 0.5, 3.0)
         opt = OptionSpec(strike=80.0, maturity=1.0)

@@ -65,6 +65,11 @@ class TestSampleOneSided:
                   + ts.sample_one_sided(p, 0.25, rng, size=n))
         assert ks_2samp(whole, halves).pvalue > 1e-3
 
+    def test_too_many_sub_draws_is_domain_error(self, rng):
+        # about 2.7e10 sub-draws per draw: hundreds of GB if allocated
+        with pytest.raises(DomainError, match="sub-draws"):
+            ts.sample_one_sided(OneSidedParams(7444.0, 2.8e-7, 1.09e-3), 1.0, rng, size=50)
+
     def test_scalar_draw(self, rng):
         val = ts.sample_one_sided(OneSidedParams(1.0, 0.5, 1.0), 1.0, rng)
         assert isinstance(val, float) and val >= 0.0
