@@ -107,7 +107,9 @@ def cumulant(p: TemperedStableParams, n: int) -> float:
 
 
 def cumulant_vector(p: TemperedStableParams) -> CumulantVector:
-    return CumulantVector(tuple(cumulant(p, n) for n in range(1, 7)))
+    n = np.arange(1, 7)
+    return CumulantVector(tuple(cumulant_one_sided(p.plus, n)
+                                + (-1.0) ** n * cumulant_one_sided(p.minus, n)))
 
 
 def moment_stats(p: TemperedStableParams) -> MomentStats:

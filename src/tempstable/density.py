@@ -23,8 +23,8 @@ from scipy.special import gamma as _gamma, wrightomega
 
 from .core import (
     cgf,
+    cgf_one_sided,
     cumulant_one_sided,
-    gamma_neg,
     log_cf,
     mean,
     std,
@@ -329,7 +329,7 @@ def tail_constant_one_sided(p: OneSidedParams) -> float:
     """Constant C in g(x) ~ C e^(-lambda x) / x^(1+beta) as x -> infinity."""
     if not (0.0 < p.beta < 1.0):
         raise DomainError("tail constant requires beta in (0, 1)")
-    return _scaled_exp(p.alpha, -p.alpha * gamma_neg(p.beta) * p.lam**p.beta)
+    return _scaled_exp(p.alpha, cgf_one_sided(p, p.lam))
 
 
 def tail_constant(p: TemperedStableParams) -> float:
@@ -340,10 +340,7 @@ def tail_constant(p: TemperedStableParams) -> float:
     """
     if not (0.0 < p.plus.beta < 1.0 and 0.0 < p.minus.beta < 1.0):
         raise DomainError("tail constant requires both stability legs in (0, 1)")
-    ap, bp, lp = p.plus.alpha, p.plus.beta, p.plus.lam
-    am, bm, lm = p.minus.alpha, p.minus.beta, p.minus.lam
-    return _scaled_exp(ap, -ap * gamma_neg(bp) * lp**bp
-                       + am * gamma_neg(bm) * ((lp + lm) ** bm - lm**bm))
+    return _scaled_exp(p.plus.alpha, cgf(p, p.plus.lam))
 
 
 def _scaled_exp(alpha: float, exponent: float) -> float:

@@ -17,8 +17,9 @@ import numpy as np
 from scipy.optimize import root
 from scipy.special import digamma, gamma as _gamma
 
-from .core import cumulant_one_sided
+from .core import cumulant_one_sided, cumulant_vector
 from .errors import ConvergenceError, DomainError, InfeasibleCumulantsError
+from .limits import alpha_pair_for_moments
 from .params import CumulantVector, OneSidedParams, TemperedStableParams
 
 _LOGIT_CLIP = 30.0
@@ -100,57 +101,50 @@ def fit_one_sided(k) -> OneSidedParams:
 # -- six-parameter moment solve ----------------------------------------------
 
 
-def two_sided_G(kappa, theta) -> np.ndarray:
-    """Moment-matching system whose root is the parameter estimate.
+_J = np.arange(1, 7)
 
-    G_j = Gamma(j-b+) a+ (l-)^(j-b-) + (-1)^j Gamma(j-b-) a- (l+)^(j-b+)
-          - kappa_j (l+)^(j-b+) (l-)^(j-b-),   j = 1..6.
+
+def _row_weights(theta) -> np.ndarray:
+    # s_j = (l+)^(j-b+) (l-)^(j-b-), the lambda powers that clear G's denominators
+    _, bp, lp, _, bm, lm = theta
+    return lp ** (_J - bp) * lm ** (_J - bm)
+
+
+def two_sided_G(kappa, theta) -> np.ndarray:
+    """Moment-matching system whose root is the parameter estimate: the
+    cumulant mismatch times the row weights,
+    G_j = (kappa_j(theta) - kappa_hat_j) (l+)^(j-b+) (l-)^(j-b-),  j = 1..6.
     """
-    kappa = _kappa_of(kappa)
-    ap, bp, lp, am, bm, lm = theta
-    j = np.arange(1, 7)
-    pow_p = lp ** (j - bp)
-    pow_m = lm ** (j - bm)
-    return (_gamma(j - bp) * ap * pow_m
-            + (-1.0) ** j * _gamma(j - bm) * am * pow_p
-            - kappa[:6] * pow_p * pow_m)
+    return (population_kappa(theta) - _kappa_of(kappa)[:6]) * _row_weights(theta)
+
+
+def _mismatch_jacobian(kappa, theta) -> np.ndarray:
+    """W = d kappa/d theta + (kappa(theta) - kappa_hat) (x) d ln s/d theta,
+    so that the Jacobian of G is s W at an arbitrary point.  Per leg,
+    d kappa/d alpha = kappa/alpha, d kappa/d beta = kappa (ln lam - psi(j-beta))
+    and d kappa/d lam = -(j-beta) kappa/lam."""
+    p = TemperedStableParams.create(*theta)
+    k_plus = cumulant_one_sided(p.plus, _J)
+    k_minus = (-1.0) ** _J * cumulant_one_sided(p.minus, _J)
+    resid = k_plus + k_minus - _kappa_of(kappa)[:6]
+    cols = []
+    for leg, k in ((p.plus, k_plus), (p.minus, k_minus)):
+        e, log_lam = _J - leg.beta, math.log(leg.lam)
+        cols += [k / leg.alpha,
+                 log_lam * (k - resid) - k * digamma(e),
+                 e * (resid - k) / leg.lam]
+    return np.column_stack(cols)
 
 
 def two_sided_jacobian(kappa, theta) -> np.ndarray:
     """Analytic Jacobian of ``two_sided_G`` in the parameter vector, at an
     arbitrary point (not just at a root)."""
-    kappa = _kappa_of(kappa)
-    ap, bp, lp, am, bm, lm = theta
-    j = np.arange(1, 7)
-    sign = (-1.0) ** j
-    gp = _gamma(j - bp)
-    gm = _gamma(j - bm)
-    pow_p = lp ** (j - bp)
-    pow_m = lm ** (j - bm)
-    s = pow_p * pow_m
-    log_lp, log_lm = math.log(lp), math.log(lm)
-
-    jac = np.empty((6, 6))
-    jac[:, 0] = gp * pow_m
-    jac[:, 1] = (-gp * digamma(j - bp) * ap * pow_m
-                 - sign * gm * am * log_lp * pow_p
-                 + kappa[:6] * log_lp * s)
-    jac[:, 2] = (sign * gm * am * (j - bp) * pow_p / lp
-                 - kappa[:6] * (j - bp) * s / lp)
-    jac[:, 3] = sign * gm * pow_p
-    jac[:, 4] = (-sign * gm * digamma(j - bm) * am * pow_p
-                 - gp * ap * log_lm * pow_m
-                 + kappa[:6] * log_lm * s)
-    jac[:, 5] = (gp * ap * (j - bm) * pow_m / lm
-                 - kappa[:6] * (j - bm) * s / lm)
-    return jac
+    return _row_weights(theta)[:, None] * _mismatch_jacobian(kappa, theta)
 
 
 def population_kappa(theta) -> np.ndarray:
     """First six cumulants of the law with parameter vector ``theta``."""
-    p = TemperedStableParams.create(*theta)
-    j = np.arange(1, 7)
-    return cumulant_one_sided(p.plus, j) + (-1.0) ** j * cumulant_one_sided(p.minus, j)
+    return np.array(cumulant_vector(TemperedStableParams.create(*theta)).kappa)
 
 
 def _to_unconstrained(theta) -> np.ndarray:
@@ -199,17 +193,14 @@ def _scaled_system(kappa, scale):
 
     def jac(u):
         theta = _from_unconstrained(u)
-        j = np.arange(1, 7)
-        s_rows = theta[2] ** (j - theta[1]) * theta[5] ** (j - theta[4])
-        jac_g = two_sided_jacobian(kappa, theta)
-        # rows of G divided by the lambda powers equal the cumulant
-        # mismatch; dividing G's Jacobian by those powers drops the term
-        # G * d(1/s)/du, so this is the Jacobian of `fun` only at a root
+        # W is G's Jacobian divided by the row weights s; against the
+        # Jacobian of `fun` it carries the extra mismatch term
+        # (kappa(theta) - kappa_hat) (x) d ln s, so it is exact only at a root
         # (relative error 1e-10 there, order 0.1-1 at 5-20% away).  It is
         # kept on purpose: from 410 starts perturbed by +-20% over 41 laws
         # hybr recovered 405 laws with it against 395 with the exact
         # cumulant Jacobian.
-        return (jac_g / (s_rows * scale)[:, None]) * _coord_scale(theta)[None, :]
+        return _mismatch_jacobian(kappa, theta) / scale[:, None] * _coord_scale(theta)[None, :]
 
     return fun, jac
 
@@ -252,8 +243,6 @@ def _default_starts(kappa) -> list[TemperedStableParams]:
     mu, k2 = kappa[0], kappa[1]
     sigma = math.sqrt(k2)
     starts = []
-    from .limits import alpha_pair_for_moments
-
     for bp, bm in ((0.5, 0.5), (0.25, 0.25), (0.75, 0.75), (0.25, 0.75),
                    (0.75, 0.25), (0.5, 0.25), (0.25, 0.5), (0.6, 0.6)):
         for lam_scale in (1.0, 3.0):

@@ -11,11 +11,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.special import gamma as _gamma
-
-from .core import moment_stats
+from .core import cumulant_one_sided, moment_stats
 from .errors import DomainError
-from .params import TemperedStableParams
+from .params import OneSidedParams, TemperedStableParams
 
 #: best published value of the absolute Berry-Esseen constant
 BERRY_ESSEEN_C = 0.4784
@@ -43,58 +41,47 @@ def alpha_pair_for_moments(beta_plus: float, lambda_plus: float,
                            mu: float, sigma2: float) -> tuple[float, float]:
     """Intensities making the law have mean ``mu`` and variance ``sigma2``.
 
-    Solves the two-by-two linear system linking (alpha+, alpha-) to the
-    first two cumulants for fixed stability/tempering parameters.  Fails
-    when either closed-form numerator is nonpositive (no valid law); for
-    mu = 0 both numerators are automatically positive.
+    The first two cumulants are linear in (alpha+, alpha-) for fixed
+    stability/tempering parameters, so this is a two-by-two Cramer solve on
+    the unit-intensity cumulants.  Fails when either intensity comes out
+    nonpositive (no valid law); for mu = 0 both are automatically positive.
     """
     if not (sigma2 > 0.0):
         raise DomainError("target variance must be positive")
-    for b, l, name in ((beta_plus, lambda_plus, "plus"), (beta_minus, lambda_minus, "minus")):
-        if not (0.0 <= b < 1.0 and l > 0.0):
-            raise DomainError(f"invalid shape/rate on the {name} leg: beta={b}, lambda={l}")
-    denom = (1.0 - beta_minus) * lambda_plus + (1.0 - beta_plus) * lambda_minus
-    num_plus = (1.0 - beta_minus) * mu + lambda_minus * sigma2
-    num_minus = (beta_plus - 1.0) * mu + lambda_plus * sigma2
-    if num_plus <= 0.0 or num_minus <= 0.0:
+    (c1p, c2p), (c1m, c2m) = (
+        [cumulant_one_sided(OneSidedParams(1.0, b, lam), n) for n in (1, 2)]
+        for b, lam in ((beta_plus, lambda_plus), (beta_minus, lambda_minus)))
+    det = c1p * c2m + c1m * c2p
+    a_plus = (mu * c2m + sigma2 * c1m) / det
+    a_minus = (sigma2 * c1p - mu * c2p) / det
+    if not (a_plus > 0.0 and a_minus > 0.0):
         raise DomainError(
             "no law with these shape/rate parameters attains "
             f"mean {mu} and variance {sigma2}"
         )
-    a_plus = lambda_plus ** (2.0 - beta_plus) * num_plus / (_gamma(1.0 - beta_plus) * denom)
-    a_minus = lambda_minus ** (2.0 - beta_minus) * num_minus / (_gamma(1.0 - beta_minus) * denom)
     return a_plus, a_minus
 
 
 def berry_esseen_bound(p: TemperedStableParams) -> BerryEsseenReport:
-    """Evaluate the closed-form Kolmogorov bound for the law ``p``."""
+    """Evaluate the closed-form Kolmogorov bound for the law ``p``.  With the
+    intensities written through the moment match, the paper's bound is
+    32 C (kappa3+ + kappa3-) / sigma^3 over the one-sided third cumulants."""
     stats = moment_stats(p)
-    mu, sigma2 = stats.mean, stats.variance
-    sigma = math.sqrt(sigma2)
-    bp, lp = p.plus.beta, p.plus.lam
-    bm, lm = p.minus.beta, p.minus.lam
-    denom = (1.0 - bm) * lp + (1.0 - bp) * lm
-    term_plus = (1.0 - bp) * (2.0 - bp) * ((1.0 - bm) * mu / sigma**3 + lm / sigma) / (lp * denom)
-    term_minus = (1.0 - bm) * (2.0 - bm) * ((bp - 1.0) * mu / sigma**3 + lp / sigma) / (lm * denom)
-    bound = 32.0 * BERRY_ESSEEN_C * (term_plus + term_minus)
-    return BerryEsseenReport(bound=bound, mu=mu, sigma2=sigma2)
+    third = cumulant_one_sided(p.plus, 3) + cumulant_one_sided(p.minus, 3)
+    bound = 32.0 * BERRY_ESSEEN_C * third / stats.variance**1.5
+    return BerryEsseenReport(bound=bound, mu=stats.mean, sigma2=stats.variance)
 
 
 def clt_min_index(beta_plus: float, lambda_plus: float,
                   beta_minus: float, lambda_minus: float,
                   mu: float, sigma2: float) -> int:
-    """Smallest sequence index with both intensity legs positive."""
+    """Smallest sequence index with both intensity legs positive, that is
+    (1-b-) mu + l- sigma2 sqrt(n) > 0 and (b+ - 1) mu + l+ sigma2 sqrt(n) > 0."""
     if not (sigma2 > 0.0):
         raise DomainError("target variance must be positive")
-    n0 = 1
-    if mu < 0.0:
-        # plus-leg numerator (1-b-)*mu + l- * sigma2 * sqrt(n) must be positive
-        root = -(1.0 - beta_minus) * mu / (lambda_minus * sigma2)
-        n0 = max(n0, math.floor(root**2) + 1)
-    elif mu > 0.0:
-        root = (1.0 - beta_plus) * mu / (lambda_plus * sigma2)
-        n0 = max(n0, math.floor(root**2) + 1)
-    return n0
+    root = max(0.0, -(1.0 - beta_minus) * mu / (lambda_minus * sigma2),
+               (1.0 - beta_plus) * mu / (lambda_plus * sigma2))
+    return math.floor(root**2) + 1
 
 
 def clt_sequence(mu: float, sigma2: float,

@@ -20,12 +20,14 @@ from .core import cgf, log_cf, marginal
 from .errors import ConvergenceError, DomainError
 from .measure import check_market
 from .params import TemperedStableParams
-from .simulate import sample_one_sided
+from .simulate import leg_generators, sample_one_sided
 
 #: node cap of one price's grid, ln(1/eps) for the aliasing error eps*S0 allowed
-#: on each side, and the fractions of (nu, lambda+) where the tail bound is tried
+#: on each side, ln of the largest sum term over spot (its cancellation error is
+#: 4e-16 of it), and the fractions of (nu, lambda+) where the tail bound is tried
 _MAX_NODES = 2**20
 _LOG_ALIAS = math.log(1e13)
+_LOG_CONDITION = math.log(1e6)
 _BOUND_HEIGHTS = np.linspace(0.0, 1.0, 33)[1:-1]
 
 
@@ -71,8 +73,11 @@ def call_price_fourier(p_q: TemperedStableParams, market: MarketConfig,
     ``(nu-1)P >= L + (T Psi(1))+`` and ``(lam-nu)P >= L + (T Psi(lam) -
     (lam-1)k)+``, with ``L = ln 1e13``; ``P`` is the least such period over
     31 heights ``lam``.  A grid of more than ``2^20`` nodes raises
-    ``ConvergenceError`` before it is evaluated.  Prices are independent
-    of ``nu`` within (1, lambda+) to well below 1e-8 of spot.
+    ``ConvergenceError`` before it is evaluated, and so do terms of the sum
+    above ``1e6`` times spot (``K e^{-rT - nu k + T Psi(nu)} / (2 pi nu
+    (nu-1))``, the largest one), whose cancellation error of about
+    ``4e-16`` times that size would swamp the price.  Prices are
+    independent of ``nu`` within (1, lambda+) to well below 1e-8 of spot.
     """
     if nu is None:
         nu = default_contour(p_q)
@@ -91,6 +96,12 @@ def call_price_fourier(p_q: TemperedStableParams, market: MarketConfig,
 
     p_t = marginal(p_q, option.maturity)
     k = math.log(option.strike) - math.log(market.s0)
+    # ln of the sum's largest term, the one at u = 0, over spot
+    log_term = (float(np.real(log_cf(p_t, -1j * nu))) - (nu - 1.0) * k
+                - market.r * option.maturity - math.log(2.0 * math.pi * nu * (nu - 1.0)))
+    if not log_term <= _LOG_CONDITION:
+        raise ConvergenceError(f"pricing integrand terms reach 10^{log_term / math.log(10.0):.1f}"
+                               f" of spot (cap 10^6) at contour height {nu} in (1, {lam_plus})")
 
     def integrand(u):
         z = u + 1j * nu  # contour point; the transform is evaluated at -z
@@ -131,14 +142,8 @@ def mc_call_price(p_q: TemperedStableParams, market: MarketConfig,
     if not seed >= 0:
         raise DomainError(f"seed must be nonnegative, got {seed}")
     forward = market.s0 * math.exp(option.maturity * cgf(p_q, 1.0))
-    ss = np.random.SeedSequence(seed)
-    child_plus, child_minus = ss.spawn(2)
-    x_plus = sample_one_sided(p_q.plus, option.maturity,
-                              np.random.Generator(np.random.Philox(child_plus)),
-                              size=n_paths)
-    x_minus = sample_one_sided(p_q.minus, option.maturity,
-                               np.random.Generator(np.random.Philox(child_minus)),
-                               size=n_paths)
+    x_plus, x_minus = (sample_one_sided(leg, option.maturity, rng, size=n_paths)
+                       for leg, rng in zip((p_q.plus, p_q.minus), leg_generators(seed)))
     s_t = market.s0 * np.exp(x_plus - x_minus)
     disc = math.exp(-market.r * option.maturity)
     put = disc * np.maximum(option.strike - s_t, 0.0)

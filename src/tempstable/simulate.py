@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import exp1, gamma as _gamma, gammainc, gammaincc
 
+from .core import cumulant_one_sided
 from .errors import ConvergenceError, DomainError
 from .params import OneSidedParams, TemperedStableParams
 
@@ -146,11 +147,10 @@ def jump_intensity_above(p: OneSidedParams, floor: float) -> float:
 
 
 def _subfloor_moments(p: OneSidedParams, floor: float) -> tuple[float, float]:
-    # first two moments of the jump measure restricted below the floor
-    a, b, lam = p.alpha, p.beta, p.lam
-    m1 = a * lam ** (b - 1.0) * _gamma(1.0 - b) * gammainc(1.0 - b, lam * floor)
-    m2 = a * lam ** (b - 2.0) * _gamma(2.0 - b) * gammainc(2.0 - b, lam * floor)
-    return m1, m2
+    # first two moments of the jump measure restricted below the floor:
+    # kappa_n times the regularized lower incomplete Gamma P(n - beta, lam h)
+    return tuple(cumulant_one_sided(p, n) * gammainc(n - p.beta, p.lam * floor)
+                 for n in (1, 2))
 
 
 def _sample_jump_sizes(p: OneSidedParams, floor: float, n: int, rng) -> np.ndarray:
@@ -217,6 +217,12 @@ def _leg_increments_with_jumps(p: OneSidedParams, cfg: PathConfig, rng):
     return big + remainder, t_jumps, sizes
 
 
+def leg_generators(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
+    """One Philox generator per leg (plus, minus), spawned from ``seed``."""
+    return tuple(np.random.Generator(np.random.Philox(child))
+                 for child in np.random.SeedSequence(seed).spawn(2))
+
+
 def simulate_path(p: TemperedStableParams, cfg: PathConfig) -> SamplePath:
     """Simulate one path on the configured grid.
 
@@ -226,10 +232,7 @@ def simulate_path(p: TemperedStableParams, cfg: PathConfig) -> SamplePath:
     compound-Poisson thinning of the jump measure) and recorded with
     signs; the sub-floor remainder enters the path values only.
     """
-    ss = np.random.SeedSequence(cfg.seed)
-    child_plus, child_minus = ss.spawn(2)
-    rng_plus = np.random.Generator(np.random.Philox(child_plus))
-    rng_minus = np.random.Generator(np.random.Philox(child_minus))
+    rng_plus, rng_minus = leg_generators(cfg.seed)
     n = cfg.n_steps
     times = np.arange(n + 1) * cfg.step
 

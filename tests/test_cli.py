@@ -378,6 +378,17 @@ def test_price_plan_over_node_cap_exits_3(runner, tmp_path):
     assert result.stderr.startswith("error NO_CONVERGENCE: pricing grid needs")
 
 
+def test_price_ill_conditioned_sum_exits_3(runner, tmp_path, skewed_tight):
+    # extreme log-moneyness; the pricer once raised a raw OverflowError here
+    path = tmp_path / "pq.json"
+    ts.save_params(ts.esscher_martingale(skewed_tight, 0.04, 0.01).new_params, path)
+    result = runner.invoke(main, ["price", "--params", str(path), "--s0", "1e200",
+                                  "--r", "0.04", "--q", "0.01", "--strike", "1e-200",
+                                  "--maturity", "1.0"])
+    assert result.exit_code == 3
+    assert result.stderr.startswith("error NO_CONVERGENCE:")
+
+
 @pytest.mark.parametrize("law", [
     (1000.0, 0.5, 1000.0, 1.0, 0.5, 1.0),  # overflows the tail constant's exp
     (10000.0, 0.01, 1.0, 1.0, 0.5, 1.0),  # alpha^(1/beta) overflows in the mode bracket

@@ -1,16 +1,20 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import tempstable as ts
 import tempstable.pricing as pricing
 from conftest import carr_madan_call
 from tempstable import (ConvergenceError, DomainError, MarketConfig, OptionSpec,
-                        TemperedStableParams)
+                        TemperedStableParams, TempStableError)
 
 #: a Q-law of the pricing benchmark (seed 110) whose lambda+ sits just above 1
 SLOW_DECAY_LAW = (0.30599, 0.36229, 1.00154, 0.68842, 0.68864, 7.26351)
+#: a law whose Esscher law's pricing sum overflowed to NaN with numpy warnings
+NAN_PRICE_LAW = (2484.85, 1.2356e-4, 2.3735e-3, 4.5796, 2.2367e-3, 65.904)
 
 
 @pytest.fixture
@@ -118,6 +122,59 @@ class TestPlannedGrid:
             ts.call_price_fourier(law, market, OptionSpec(100.0, 0.29))
         # only the extent search and the tail bound ran, never the grid
         assert sizes and max(sizes) < 100
+
+
+class TestConditioning:
+    """Sums whose largest term exceeds 1e6 of spot are refused: their
+    cancellation error would pass for a price."""
+
+    @pytest.mark.parametrize("s0, strike, nu", [
+        (100.0, 1e-6, None),  # terms reach 2e9 of spot; the price was off by 7e-5
+        (100.0, 1e-6, 2.8),  # terms reach 1e13 of spot; the price was off by 0.2
+        (1e200, 1e-200, None),  # raised a raw OverflowError
+        (1e50, 1e-50, None),  # gave 5.6e164
+    ])
+    def test_ill_conditioned_sum_is_convergence_error(self, risk_neutral, market,
+                                                      s0, strike, nu):
+        market = MarketConfig(s0=s0, r=market.r, q_div=market.q_div)
+        with pytest.raises(ConvergenceError, match="of spot"):
+            ts.call_price_fourier(risk_neutral, market, OptionSpec(strike, 1.0), nu)
+
+    @pytest.mark.parametrize("strike", [50.0, 100.0, 200.0])
+    def test_overflowing_sum_is_convergence_error(self, strike):
+        # priced NaN with "overflow in exp" warnings
+        sol = ts.esscher_martingale(TemperedStableParams.create(*NAN_PRICE_LAW), 0.03, 0.0)
+        with pytest.raises(ConvergenceError, match="of spot"):
+            ts.call_price_fourier(sol.new_params, MarketConfig(100.0, 0.03),
+                                  OptionSpec(strike, 1.0))
+
+
+_ALPHA = st.floats(1e-6, 1e6)
+_BETA = st.one_of(st.just(0.0), st.floats(1e-9, 0.999))
+_LAM = st.floats(1e-3, 1e3)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(law=st.tuples(_ALPHA, _BETA, _LAM, _ALPHA, _BETA, _LAM))
+@example(law=NAN_PRICE_LAW)
+def test_esscher_prices_within_bounds_or_typed_error(law):
+    s0, r = 100.0, 0.03
+    market = MarketConfig(s0=s0, r=r)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            sol = ts.esscher_martingale(TemperedStableParams.create(*law), r, 0.0)
+        except TempStableError:
+            return
+        if not sol.exists:
+            return
+        for strike in (50.0, 100.0, 200.0):
+            try:
+                price = ts.call_price_fourier(sol.new_params, market, OptionSpec(strike, 1.0))
+            except TempStableError:
+                continue
+            lower = max(0.0, s0 - strike * math.exp(-r))
+            assert lower - 1e-8 * s0 <= price <= s0 + 1e-8 * s0, (strike, price)
 
 
 class TestMonteCarloPricer:
