@@ -11,17 +11,28 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import gamma as _gamma
+from scipy.special import expm1, gamma as _gamma, log1p
 
 from .errors import DomainError
 from .params import CumulantVector, MomentStats, OneSidedParams, TemperedStableParams
 
 
-def gamma_neg(beta: float) -> float:
-    """Gamma evaluated at -beta for beta in (0,1), via Gamma(1-b)/(-b)."""
-    if not (0.0 < beta < 1.0):
-        raise DomainError(f"gamma_neg requires beta in (0,1), got {beta}")
-    return _gamma(1.0 - beta) / (-beta)
+def leg_exponent(alpha: float, beta: float, lam: float, z):
+    """One leg's exponent alpha Gamma(-beta) ((lam - z)^beta - lam^beta), or
+    -alpha u at beta = 0, formed as alpha Gamma(-beta) lam^beta expm1(beta u)
+    with u = ln(1 - z/lam) so that nothing cancels as beta -> 0 or z -> 0.
+    Takes real or complex z and raw (possibly tilted) rates; the caller
+    checks the domain.  u is scipy's log1p(-z/lam), which unlike numpy's
+    keeps the real part for small complex arguments, or ln((lam - z)/lam)
+    where Re(-z/lam) < -1/2, keeping the digits of lam - z near z = lam."""
+    w = np.asarray(z) * (-1.0 / lam)
+    u = log1p(w, out=np.empty_like(w))  # an array even for scalar z, for np.log to fill
+    with np.errstate(divide="ignore"):  # u = -inf at the closed end z = lam
+        np.log((lam - z) * (1.0 / lam), out=u, where=w.real < -0.5)
+    if beta == 0.0:
+        return -alpha * u
+    u *= beta  # in place: on a transform grid each temporary is a full array
+    return alpha * (_gamma(1.0 - beta) / -beta) * lam**beta * expm1(u, out=u)
 
 
 def cgf_one_sided(p: OneSidedParams, z: float) -> float:
@@ -30,32 +41,10 @@ def cgf_one_sided(p: OneSidedParams, z: float) -> float:
     Defined for z <= lam when beta > 0 and z < lam in the Gamma case
     beta = 0.  Vanishes at z = 0.
     """
-    a, b, lam = p.alpha, p.beta, p.lam
-    if b == 0.0:
-        if not (z < lam):
-            raise DomainError(f"cgf requires z < lambda = {lam} for beta = 0, got z = {z}")
-        return a * math.log(lam / (lam - z))
-    if not (z <= lam):
-        raise DomainError(f"cgf requires z <= lambda = {lam}, got z = {z}")
-    return stable_leg_cgf(a, b, lam, z)
-
-
-def stable_leg_cgf(alpha: float, beta: float, lam: float, z: float) -> float:
-    """The closed form alpha * Gamma(-beta) * ((lam - z)^beta - lam^beta).
-
-    Takes raw numbers for beta in (0, 1) so that a tilted rate may sit at
-    the closed end lam = 0, which no parameter record admits.  A point
-    z that overshoots lam by roundoff (lam computed as a difference of
-    rates) counts as the endpoint z = lam.
-    """
-    shifted = lam - z
-    if shifted < 0.0 and shifted > -1e-12 * max(lam, 1.0):
-        shifted = 0.0
-    if not (shifted >= 0.0 and lam >= 0.0):
-        raise DomainError(
-            f"cgf requires 0 <= lambda and z <= lambda, got lambda = {lam}, z = {z}"
-        )
-    return alpha * gamma_neg(beta) * (shifted**beta - lam**beta)
+    if not (z < p.lam or (z == p.lam and p.beta > 0.0)):
+        raise DomainError(f"cgf requires z {'<=' if p.beta > 0.0 else '<'} lambda = {p.lam}"
+                          f" for beta = {p.beta}, got z = {z}")
+    return leg_exponent(p.alpha, p.beta, p.lam, z)
 
 
 def cgf(p: TemperedStableParams, z: float) -> float:
@@ -63,25 +52,14 @@ def cgf(p: TemperedStableParams, z: float) -> float:
     return cgf_one_sided(p.plus, z) + cgf_one_sided(p.minus, -z)
 
 
-def _log_cf_leg(leg: OneSidedParams, w):
-    """Log characteristic function of one leg, valid for complex w with
-    Re(lam - i*w) > 0 (always true for real w)."""
-    a, b, lam = leg.alpha, leg.beta, leg.lam
-    w = np.asarray(w)
-    arg = lam - 1j * w
-    if np.any(arg.real <= 0.0):
-        raise DomainError("characteristic function evaluated outside its analytic strip")
-    # evaluate both terms through the same complex power routine so the
-    # symbol vanishes exactly at w = 0
-    if b == 0.0:
-        return -a * (np.log(arg) - np.log(np.complex128(lam)))
-    return a * gamma_neg(b) * (np.power(arg, b) - np.power(np.complex128(lam), b))
-
-
 def log_cf(p: TemperedStableParams, z):
     """Log of the characteristic function; accepts scalars or arrays,
-    real or complex (inside the strip -lam_minus < Im z < lam_plus)."""
-    return _log_cf_leg(p.plus, z) + _log_cf_leg(p.minus, -np.asarray(z))
+    real or complex (inside the strip -lam_plus < Im z < lam_minus)."""
+    iz = 1j * np.asarray(z)
+    if np.any(iz.real >= p.plus.lam) or np.any(iz.real <= -p.minus.lam):
+        raise DomainError("characteristic function evaluated outside its analytic strip")
+    return (leg_exponent(p.plus.alpha, p.plus.beta, p.plus.lam, iz)
+            + leg_exponent(p.minus.alpha, p.minus.beta, p.minus.lam, -iz))
 
 
 def cf(p: TemperedStableParams, z):

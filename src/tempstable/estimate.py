@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import root
-from scipy.special import digamma, gamma as _gamma
+from scipy.special import digamma, gamma as _gamma, gammaln
 
 from .core import cumulant_one_sided, cumulant_vector
 from .errors import ConvergenceError, DomainError, InfeasibleCumulantsError
@@ -296,4 +296,7 @@ def lambda_given_alpha_beta(alpha: float, beta: float, mean: float) -> float:
         raise DomainError("need alpha > 0 and beta in [0, 1)")
     if not (mean > 0.0):
         raise DomainError("mean of a subordinator must be positive")
-    return (alpha * _gamma(1.0 - beta) / mean) ** (1.0 / (1.0 - beta))
+    log_lam = (math.log(alpha) + gammaln(1.0 - beta) - math.log(mean)) / (1.0 - beta)
+    if not abs(log_lam) < math.log(np.finfo(float).max):
+        raise DomainError(f"tempering rate overflows or underflows: ln lambda = {log_lam:.6g}")
+    return math.exp(log_lam)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .core import cgf, cgf_one_sided, gamma_neg, stable_leg_cgf
+from .core import cgf, cgf_one_sided, leg_exponent
 from .errors import ConvergenceError, DomainError, NoMartingaleMeasureError
 from .params import TemperedStableParams
 
@@ -110,13 +110,20 @@ def _require_positive_betas(p: TemperedStableParams, what: str) -> None:
 
 
 def _plus_part(p: TemperedStableParams, theta: float) -> float:
-    # contribution of the tilted upward leg to Psi_tilted(1), theta <= lambda+ - 1
-    return stable_leg_cgf(p.plus.alpha, p.plus.beta, p.plus.lam - theta, 1.0)
+    # tilted upward leg's part of Psi_tilted(1); its rate may round below 1 at theta = lambda+ - 1
+    rate = p.plus.lam - theta
+    if not rate >= 1.0 - 1e-12 * max(rate, 1.0):
+        raise DomainError(f"theta = {theta} exceeds lambda+ - 1 = {p.plus.lam - 1.0}")
+    return leg_exponent(p.plus.alpha, p.plus.beta, max(rate, 1.0), 1.0)
 
 
 def _minus_part(p: TemperedStableParams, theta_minus: float) -> float:
-    # contribution of the tilted downward leg, theta- <= lambda-
-    return stable_leg_cgf(p.minus.alpha, p.minus.beta, p.minus.lam - theta_minus, -1.0)
+    # contribution of the tilted downward leg, theta- <= lambda-; at
+    # theta- = lambda- the tilted rate is 0, where Psi_0(-1) = -Psi_1(1)
+    rate = p.minus.lam - theta_minus
+    if rate == 0.0:
+        return -leg_exponent(p.minus.alpha, p.minus.beta, 1.0, 1.0)
+    return leg_exponent(p.minus.alpha, p.minus.beta, rate, -1.0)
 
 
 def esscher_f(p: TemperedStableParams, theta: float) -> float:
@@ -179,12 +186,12 @@ def _curve_brackets(p: TemperedStableParams):
 
 
 def _require_curve(p: TemperedStableParams, r: float, q_div: float) -> None:
-    # the upward part of Psi(1) is bounded by -alpha+ Gamma(-beta+); the
-    # curve exists only when that supremum exceeds r - q
+    # the upward part of Psi(1) is bounded by -alpha+ Gamma(-beta+), its value
+    # at tilted rate 1; the curve exists only when that supremum exceeds r - q
     check_market(r, q_div)
     _require_positive_betas(p, "the bilateral martingale curve")
     rq = r - q_div
-    sup_plus = -p.plus.alpha * gamma_neg(p.plus.beta)
+    sup_plus = leg_exponent(p.plus.alpha, p.plus.beta, 1.0, 1.0)
     if not (sup_plus > rq):
         raise NoMartingaleMeasureError(
             "no bilateral tilt is a martingale measure: "

@@ -106,6 +106,8 @@ def sample_one_sided(p: OneSidedParams, t: float, rng, size=None):
     if not (t > 0.0):
         raise DomainError("time must be positive")
     n = 1 if size is None else int(size)
+    if n < 0:
+        raise DomainError(f"size must be nonnegative, got {size}")
     a_eff = p.alpha * t
     if p.beta == 0.0:
         draws = rng.gamma(a_eff, 1.0 / p.lam, n)
@@ -198,9 +200,8 @@ def _sample_jump_sizes(p: OneSidedParams, floor: float, n: int, rng) -> np.ndarr
     raise ConvergenceError("jump-size rejection did not terminate")
 
 
-def _leg_increments_with_jumps(p: OneSidedParams, cfg: PathConfig, rng):
+def _leg_increments_with_jumps(p: OneSidedParams, cfg: PathConfig, lam_tot: float, rng):
     n = cfg.n_steps
-    lam_tot = jump_intensity_above(p, cfg.jump_floor)
     n_jumps = int(rng.poisson(lam_tot * cfg.horizon))
     t_jumps = np.sort(rng.uniform(0.0, cfg.horizon, n_jumps))
     sizes = _sample_jump_sizes(p, cfg.jump_floor, n_jumps, rng)
@@ -230,7 +231,9 @@ def simulate_path(p: TemperedStableParams, cfg: PathConfig) -> SamplePath:
     the step marginal and the jump record stays empty.  With a positive
     floor, jumps at or above the floor are simulated individually (exact
     compound-Poisson thinning of the jump measure) and recorded with
-    signs; the sub-floor remainder enters the path values only.
+    signs; the sub-floor remainder enters the path values only.  A floor
+    at which one leg expects more jumps than one chunk holds is a
+    ``DomainError`` before any draw.
     """
     rng_plus, rng_minus = leg_generators(cfg.seed)
     n = cfg.n_steps
@@ -242,8 +245,12 @@ def simulate_path(p: TemperedStableParams, cfg: PathConfig) -> SamplePath:
         jt = np.empty(0)
         js = np.empty(0)
     else:
-        inc_plus, jt_p, sz_p = _leg_increments_with_jumps(p.plus, cfg, rng_plus)
-        inc_minus, jt_m, sz_m = _leg_increments_with_jumps(p.minus, cfg, rng_minus)
+        rates = [jump_intensity_above(leg, cfg.jump_floor) for leg in (p.plus, p.minus)]
+        if not all(rate * cfg.horizon <= _CHUNK_SLOTS for rate in rates):
+            raise DomainError(f"jump floor {cfg.jump_floor} expects {max(rates) * cfg.horizon:.3g}"
+                              f" recorded jumps on one leg (cap {_CHUNK_SLOTS})")
+        inc_plus, jt_p, sz_p = _leg_increments_with_jumps(p.plus, cfg, rates[0], rng_plus)
+        inc_minus, jt_m, sz_m = _leg_increments_with_jumps(p.minus, cfg, rates[1], rng_minus)
         jt = np.concatenate([jt_p, jt_m])
         js = np.concatenate([sz_p, -sz_m])
         order = np.argsort(jt, kind="stable")

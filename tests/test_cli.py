@@ -418,6 +418,17 @@ _PRICE = "price --params {law} --s0 100 --r 0.04 --strike 105 --maturity 1"
 _SIMULATE = "simulate --params {law} --horizon 1 --step 0.25 --seed 1 --out {out}"
 
 
+def test_simulate_too_many_jumps_exits_2(runner, tmp_path, skewed):
+    # rng.poisson raised a raw "lam value too large" ValueError
+    path = tmp_path / "law.json"
+    ts.save_params(skewed, path)
+    result = runner.invoke(main, ["simulate", "--params", str(path), "--horizon", "1",
+                                  "--step", "1", "--seed", "0", "--jump-floor", "1e-300",
+                                  "--out", str(tmp_path / "out")])
+    assert result.exit_code == 2
+    assert result.stderr.startswith("error PARAM_DOMAIN:")
+
+
 # click keeps the last value of a repeated option, so each case overrides
 # one valid value with a bad one
 @pytest.mark.parametrize("command, law_override", [

@@ -1,8 +1,10 @@
 import math
 import warnings
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import gamma as G
 
 import tempstable as ts
@@ -41,6 +43,35 @@ class TestCgfOneSided:
         ts.cgf_one_sided(OneSidedParams(1.0, 0.5, 1.0), 1.0)
         with pytest.raises(DomainError):
             ts.cgf_one_sided(OneSidedParams(1.0, 0.0, 1.0), 1.0)
+
+
+def _decimal_cgf_one_sided(alpha, beta, lam, z):
+    """alpha Gamma(-beta) ((lam - z)^beta - lam^beta), or -alpha ln(1 - z/lam)
+    at beta = 0, to 50 digits: the working precision grows by the digits
+    that 1 - z/lam would otherwise drop."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        x = Decimal(z) / Decimal(lam)
+        ctx.prec += max(0, -x.adjusted())
+        if beta == 0.0:
+            return float(-Decimal(alpha) * (1 - x).ln())
+        b = Decimal(beta)
+        ratio = (1 - x) ** b if x != 1 else Decimal(0)
+        return float(Decimal(alpha) * Decimal(float(G(-beta))) * Decimal(lam) ** b * (ratio - 1))
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(alpha=st.floats(1e-6, 1e6), beta=st.one_of(st.just(0.0), st.floats(1e-9, 0.999)),
+       lam=st.floats(1e-3, 1e3), s=st.floats(-10.0, 1.0))
+def test_cgf_one_sided_matches_decimal_reference(alpha, beta, lam, s):
+    # the closed form subtracts two nearly equal powers as beta -> 0 or z -> 0;
+    # it must keep its relative accuracy there (the floor is the subnormal range)
+    z = lam * s
+    if beta == 0.0 and z == lam:
+        return
+    got = ts.cgf_one_sided(OneSidedParams(alpha, beta, lam), z)
+    ref = _decimal_cgf_one_sided(alpha, beta, lam, z)
+    assert abs(got - ref) <= 1e-13 * abs(ref) + 1e-300, (got, ref)
 
 
 class TestCgf:
@@ -103,6 +134,19 @@ class TestCf:
             errs.append(np.max(np.abs(ts.cf(p, z) - target)))
         assert all(e2 < e1 for e1, e2 in zip(errs, errs[1:]))
         assert errs[-1] < 1e-4
+
+    def test_log_cf_within_first_order_of_gamma_limit(self):
+        # Psi_beta - Psi_0 = -alpha beta (u^2/2 + u ln lam + gamma_E u) + O(beta^2) per
+        # leg, u = ln(1 - z/lam); a form that cancels is off by alpha eps / beta
+        beta = 1e-12
+        z = np.array([1e-6, 0.3, 1.0, 4.0, -2.5, 40.0, 1.0 - 0.9j, -3.0 + 1.5j])
+        legs = ((1.5, 2.0, 1j * z), (0.7, 3.0, -1j * z))
+        bound = sum(a * (beta * (1.0 + np.abs(u)) ** 2 * (1.0 + abs(math.log(lam)))
+                         + 1e-15 * (1.0 + np.abs(u)))
+                    for a, lam, u in ((a, lam, np.log(1.0 - w / lam)) for a, lam, w in legs))
+        near = ts.log_cf(TemperedStableParams.create(1.5, beta, 2.0, 0.7, beta, 3.0), z)
+        gamma = ts.log_cf(TemperedStableParams.create(1.5, 0.0, 2.0, 0.7, 0.0, 3.0), z)
+        assert np.all(np.abs(near - gamma) <= bound)
 
 
 class TestCumulants:

@@ -284,6 +284,10 @@ class TestPathEstimators:
                 lam, rel=1e-12
             )
 
+    def test_lambda_overflow_is_domain_error(self):
+        with pytest.raises(DomainError, match="overflows"):
+            ts.lambda_given_alpha_beta(1e6, 0.999, 1e-6)
+
     def test_nonpositive_mean_rejected(self):
         with pytest.raises(DomainError):
             ts.lambda_given_alpha_beta(1.0, 0.5, 0.0)

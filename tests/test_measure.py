@@ -157,6 +157,13 @@ class TestEsscherMartingale:
         assert sol.exists
         assert sol.residual <= 1e-10
 
+    def test_near_gamma_leg_meets_the_gate(self):
+        # the cancelling closed form put the residual at 1.4e-10 for this law
+        p = TemperedStableParams.create(2.553, 1.83e-6, 2.79, 0.111, 0.48, 4.88)
+        sol = ts.esscher_martingale(p, 0.03, 0.0)
+        assert sol.exists
+        assert sol.residual <= 1e-10
+
     def test_tilt_function_finite_at_closed_ends(self, skewed_tight, upper_end_rounds):
         for p in (skewed_tight, upper_end_rounds):
             lo, hi = -p.minus.lam, p.plus.lam - 1.0

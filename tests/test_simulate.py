@@ -70,6 +70,11 @@ class TestSampleOneSided:
         with pytest.raises(DomainError, match="sub-draws"):
             ts.sample_one_sided(OneSidedParams(7444.0, 2.8e-7, 1.09e-3), 1.0, rng, size=50)
 
+    @pytest.mark.parametrize("beta", [0.0, 0.5])
+    def test_negative_size_is_domain_error(self, rng, beta):
+        with pytest.raises(DomainError, match="size"):
+            ts.sample_one_sided(OneSidedParams(1.0, beta, 1.0), 1.0, rng, size=-1)
+
     def test_scalar_draw(self, rng):
         val = ts.sample_one_sided(OneSidedParams(1.0, 0.5, 1.0), 1.0, rng)
         assert isinstance(val, float) and val >= 0.0
@@ -89,6 +94,11 @@ class TestSimulatePath:
         b = ts.simulate_path(skewed, cfg)
         assert a.values.tobytes() == b.values.tobytes()
         assert a.jump_sizes.tobytes() == b.jump_sizes.tobytes()
+
+    def test_jump_count_over_cap_is_domain_error(self, skewed):
+        # about 5.3e9 expected downward jumps: 42 GB per array if drawn
+        with pytest.raises(DomainError, match="recorded jumps"):
+            ts.simulate_path(skewed, PathConfig(horizon=100.0, step=0.1, seed=1, jump_floor=1e-12))
 
     def test_starts_at_zero(self, skewed):
         path = ts.simulate_path(skewed, PathConfig(horizon=1.0, step=0.1, seed=1))
