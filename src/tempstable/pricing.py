@@ -22,9 +22,11 @@ from .measure import check_market
 from .params import TemperedStableParams
 from .simulate import leg_generators, sample_one_sided
 
-#: node cap of one price's grid, ln(1/eps) for the aliasing error eps*S0 allowed
-#: on each side, ln of the largest sum term over spot (its cancellation error is
-#: 4e-16 of it), and the fractions of (nu, lambda+) where the tail bound is tried
+#: candidate extents of the integral, node cap of one price's grid, ln(1/eps)
+#: for the aliasing error eps*S0 allowed on each side, ln of the largest sum
+#: term over spot (its cancellation error is 4e-16 of it), and the fractions
+#: of (nu, lambda+) where the tail bound is tried
+_EXTENTS = 64.0 * 2.0 ** np.arange(60)
 _MAX_NODES = 2**20
 _LOG_ALIAS = math.log(1e13)
 _LOG_CONDITION = math.log(1e6)
@@ -64,8 +66,9 @@ def call_price_fourier(p_q: TemperedStableParams, market: MarketConfig,
                        option: OptionSpec, nu: float | None = None) -> float:
     """Call price by one trapezoid pass along the contour at height ``nu``.
 
-    The extent ``U`` doubles from 64 until the integrand falls below 1e-14
-    of its value at 0.  The trapezoid sum with step ``2 pi / P`` equals the
+    The extent ``U`` is the first of 64, 128, ..., ``64 * 2^59`` (all
+    evaluated in one call) where the integrand is below 1e-14 of its value
+    at 0.  The trapezoid sum with step ``2 pi / P`` equals the
     damped price ``e^{(nu-1)k} C(k)`` summed over log-strikes ``k + jP``.
     As ``C <= S0 e^{T Psi(1)}`` and, for ``lam`` in ``(nu, lambda+)``,
     ``C(k) <= S0 e^{T Psi(lam) - (lam-1)k}`` (``r >= 0``, ``Psi`` the cgf),
@@ -107,14 +110,11 @@ def call_price_fourier(p_q: TemperedStableParams, market: MarketConfig,
         z = u + 1j * nu  # contour point; the transform is evaluated at -z
         return np.exp(1j * u * k + log_cf(p_t, -z)) / (z * (z - 1j))
 
-    h0 = abs(integrand(np.array([0.0]))[0])
-    upper = 64.0
-    for _ in range(60):
-        if abs(integrand(np.array([upper]))[0]) < 1e-14 * h0:
-            break
-        upper *= 2.0
-    else:
+    h = np.abs(integrand(np.append(0.0, _EXTENTS)))
+    decayed = np.flatnonzero(h[1:] < 1e-14 * h[0])
+    if decayed.size == 0:
         raise ConvergenceError("pricing integrand does not decay; check parameters")
+    upper = float(_EXTENTS[decayed[0]])
 
     lam = nu + (lam_plus - nu) * _BOUND_HEIGHTS
     growth = np.real(log_cf(p_t, -1j * lam)) - (lam - 1.0) * k

@@ -358,13 +358,16 @@ def test_price_runs_the_quadrature_once(runner, tmp_path, skewed_tight, monkeypa
     assert out["put"] == ts.put_price(pq, market, option, out["nu"])
 
 
-def test_simulate_too_many_sub_draws_exits_2(runner, tmp_path):
+def test_simulate_huge_tilt_law_exits_0(runner, tmp_path):
+    # upward leg at tilt c lam^beta = 2.7e10
     path = tmp_path / "law.json"
     ts.save_params(ts.TemperedStableParams.create(7444.0, 2.8e-7, 1.09e-3, 1.0, 0.5, 1.0), path)
     result = runner.invoke(main, ["simulate", "--params", str(path), "--horizon", "1",
                                   "--step", "1", "--seed", "0", "--out", str(tmp_path / "out")])
-    assert result.exit_code == 2
-    assert result.stderr.startswith("error PARAM_DOMAIN:")
+    assert result.exit_code == 0, result.output
+    rows = (tmp_path / "out" / "path_0000.csv").read_text().splitlines()
+    assert rows[0] == "t,x" and len(rows) == 3
+    assert all(np.isfinite(float(row.split(",")[1])) for row in rows[1:])
 
 
 def test_price_plan_over_node_cap_exits_3(runner, tmp_path):

@@ -1,14 +1,17 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.special import gamma as G
 from scipy.stats import ks_2samp
 
 import tempstable as ts
 from tempstable import DomainError, OneSidedParams, PathConfig, TemperedStableParams
-from tempstable.simulate import _kanter_stable
+from tempstable.simulate import _KANTER_MAX_TILT, _kanter_stable
 
 
 class TestStableBlock:
@@ -65,10 +68,21 @@ class TestSampleOneSided:
                   + ts.sample_one_sided(p, 0.25, rng, size=n))
         assert ks_2samp(whole, halves).pvalue > 1e-3
 
-    def test_too_many_sub_draws_is_domain_error(self, rng):
-        # about 2.7e10 sub-draws per draw: hundreds of GB if allocated
-        with pytest.raises(DomainError, match="sub-draws"):
-            ts.sample_one_sided(OneSidedParams(7444.0, 2.8e-7, 1.09e-3), 1.0, rng, size=50)
+    @pytest.mark.parametrize("alpha, beta, lam", [
+        (7444.0, 2.8e-7, 1.09e-3),  # tilt c lam^beta = 2.7e10
+        (1e6, 1e-9, 1e3),  # where an output written as c^(1/beta) X^(-b) cancels
+    ], ids=["huge-tilt", "small-beta"])
+    def test_large_tilt_holds_its_mean(self, rng, alpha, beta, lam):
+        x = ts.sample_one_sided(OneSidedParams(alpha, beta, lam), 1.0, rng, size=200_000)
+        se = np.std(x) / math.sqrt(x.size)
+        assert abs(np.mean(x) - alpha * G(1.0 - beta) * lam ** (beta - 1.0)) < 4.0 * se
+
+    @pytest.mark.parametrize("leg, t", [((1.0, 0.0, 1.0), math.inf),
+                                        ((1e300, 0.0, 1.0), 1e10),
+                                        ((1e300, 0.5, 1.0), 1e10)])
+    def test_draws_beyond_float_range_are_domain_error(self, rng, leg, t):
+        with pytest.raises(DomainError):
+            ts.sample_one_sided(OneSidedParams(*leg), t, rng, size=3)
 
     @pytest.mark.parametrize("beta", [0.0, 0.5])
     def test_negative_size_is_domain_error(self, rng, beta):
@@ -78,6 +92,66 @@ class TestSampleOneSided:
     def test_scalar_draw(self, rng):
         val = ts.sample_one_sided(OneSidedParams(1.0, 0.5, 1.0), 1.0, rng)
         assert isinstance(val, float) and val >= 0.0
+
+
+class TestTiltedStableSampler:
+    """At lam = t = 1 and alpha = tau beta / Gamma(1-beta) a draw X has
+    Laplace transform exp(-tau ((1+s)^beta - 1)), mean tau beta and
+    variance tau beta (1-beta).  Standard errors come from the law.  The
+    largest probe is exp(-1.5 Z) in standard units Z: for a near-normal
+    law exp(-3 Z) is lognormal with sigma 3, and its mean over 1e5 draws
+    is far from normal (one draw below Z = -5.4, about 1 sample in 300,
+    moves it by 4 standard errors)."""
+
+    @pytest.mark.parametrize("beta", [0.05, 0.5, 0.95, 0.999])
+    @pytest.mark.parametrize("tau", [1e-3, 0.5, 0.999 * _KANTER_MAX_TILT,
+                                     1.001 * _KANTER_MAX_TILT, 3.0, 1e2, 1e4, 1e10])
+    def test_laplace_transform_and_mean(self, rng, tau, beta):
+        n = 100_000
+        leg = OneSidedParams(tau * beta / G(1.0 - beta), beta, 1.0)
+        x = ts.sample_one_sided(leg, 1.0, rng, size=n)
+        mean, sd = tau * beta, math.sqrt(tau * beta * (1.0 - beta))
+        assert abs(np.mean(x) - mean) < 4.0 * sd / math.sqrt(n)
+
+        def centred_transform(s):
+            # E exp(-s (X - mean) / sd), in logs so that large tilts do not overflow
+            return math.exp(s * mean / sd - tau * math.expm1(beta * math.log1p(s / sd)))
+
+        for s in (0.3, 1.0, 1.5):
+            probe = np.exp(-s * (x - mean) / sd)
+            target = centred_transform(s)
+            se = math.sqrt((centred_transform(2.0 * s) - target**2) / n)
+            assert abs(np.mean(probe) - target) < 4.0 * se
+
+    @pytest.mark.parametrize("tau", [130.0, 1e4])
+    def test_memory_is_bounded_by_the_block(self, rng, tau):
+        leg = OneSidedParams(tau * 0.4 / G(0.6), 0.4, 1.0)
+        tracemalloc.start()
+        try:
+            x = ts.sample_one_sided(leg, 1.0, rng, size=1_000_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert x.size == 1_000_000
+        assert peak < 64 * 2**20
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0**e)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(alpha=_log_uniform(1e-6, 1e6),
+       beta=st.one_of(st.just(0.0), _log_uniform(1e-9, 0.999)),
+       lam=_log_uniform(1e-3, 1e3), t=_log_uniform(1e-6, 1e3))
+# tilt c lam^beta = 2.7e10
+@example(alpha=7444.0, beta=2.8e-7, lam=1.09e-3, t=1.0)
+def test_draws_are_finite_and_nonnegative(alpha, beta, lam, t):
+    rng = np.random.default_rng(11)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x = ts.sample_one_sided(OneSidedParams(alpha, beta, lam), t, rng, size=50)
+    assert np.all(np.isfinite(x)) and np.all(x >= 0.0)
 
 
 class TestSimulatePath:
