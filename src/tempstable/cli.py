@@ -98,11 +98,9 @@ def density(ctx, params_path, nodes, extent_sd, tilt, out_path):
     ev = _density.DensityEvaluator(p, settings)
     grid = ev.grid()
     x, cdf_vals = ev.cdf_grid(grid)
-    lines = ["x,pdf,cdf"]
-    # Python floats format faster than numpy scalars, to the same text
-    for xi, pi, ci in zip(x.tolist(), grid.pdf.tolist(), cdf_vals.tolist()):
-        lines.append(f"{xi:.17g},{pi:.17g},{ci:.17g}")
-    text = "\n".join(lines) + "\n"
+    # one % pass over all rows; Python floats format faster than numpy scalars
+    rows = np.column_stack((x, grid.pdf, cdf_vals)).ravel().tolist()
+    text = "x,pdf,cdf\n" + "%.17g,%.17g,%.17g\n" * len(x) % tuple(rows)
     if out_path is None:
         click.echo(text, nl=False)
     else:

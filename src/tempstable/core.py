@@ -35,6 +35,30 @@ def leg_exponent(alpha: float, beta: float, lam: float, z):
     return alpha * (_gamma(1.0 - beta) / -beta) * lam**beta * expm1(u, out=u)
 
 
+def _leg_on_real_axis(alpha: float, beta: float, lam: float, z: np.ndarray):
+    """Real and imaginary parts of leg_exponent(alpha, beta, lam, iz) for
+    real z, in real arithmetic.  With y = z/lam, (1 - iy)^beta = e^(a + ib)
+    for a = beta ln|1 - iy| and b = -beta arctan y, and the leg is
+    alpha Gamma(-beta) lam^beta expm1(a + ib).  Its real part is scipy's
+    cexpm1 form expm1(a) cos b - 2 sin^2(b/2), here through t = tan(b/2):
+    (expm1(a)(1 - t^2) - 2t^2)/(1 + t^2); the imaginary part is
+    e^a 2t/(1 + t^2).  ln|1 - iy| is ln m + log1p(r^2)/2 with m = max(|y|, 1)
+    and r = |y|/m^2, so that y^2 cannot overflow."""
+    y = z / lam
+    ay = np.abs(y)
+    m = np.maximum(ay, 1.0)
+    r = ay / m / m
+    mod = np.log(m) + 0.5 * np.log1p(r * r)
+    phase = np.arctan(y)
+    if beta == 0.0:
+        return -alpha * mod, alpha * phase
+    e = np.expm1(beta * mod)
+    t = np.tan((-0.5 * beta) * phase)
+    q = t * t
+    d = alpha * (_gamma(1.0 - beta) / -beta) * lam**beta / (1.0 + q)
+    return (e * (1.0 - q) - 2.0 * q) * d, (e + 1.0) * (2.0 * t) * d
+
+
 def cgf_one_sided(p: OneSidedParams, z: float) -> float:
     """Cumulant generating function of a one-sided law at a real point.
 
@@ -54,8 +78,20 @@ def cgf(p: TemperedStableParams, z: float) -> float:
 
 def log_cf(p: TemperedStableParams, z):
     """Log of the characteristic function; accepts scalars or arrays,
-    real or complex (inside the strip -lam_plus < Im z < lam_minus)."""
-    iz = 1j * np.asarray(z)
+    real or complex (inside the strip -lam_plus < Im z < lam_minus).
+    Real z is evaluated in real arithmetic, where the minus leg is the
+    conjugate of the plus leg's form."""
+    z = np.asarray(z)
+    if not np.all(np.isfinite(z)):
+        raise DomainError("characteristic function evaluated at a non-finite frequency")
+    if not np.iscomplexobj(z):
+        re_p, im_p = _leg_on_real_axis(p.plus.alpha, p.plus.beta, p.plus.lam, z)
+        re_m, im_m = _leg_on_real_axis(p.minus.alpha, p.minus.beta, p.minus.lam, z)
+        out = np.empty(z.shape, dtype=complex)
+        out.real = re_p + re_m
+        out.imag = im_p - im_m
+        return out[()]
+    iz = 1j * z
     if np.any(iz.real >= p.plus.lam) or np.any(iz.real <= -p.minus.lam):
         raise DomainError("characteristic function evaluated outside its analytic strip")
     return (leg_exponent(p.plus.alpha, p.plus.beta, p.plus.lam, iz)

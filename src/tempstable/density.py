@@ -110,9 +110,6 @@ class DensityEvaluator:
 
     # -- planning ---------------------------------------------------------
 
-    def _boundary_ok(self, z: float) -> bool:
-        return float(np.real(log_cf(self._tilted, z))) < math.log(self.settings.cf_floor)
-
     def _plan(self) -> None:
         s = self.settings
         x_lo = self._mu - s.extent_sd * self._sigma
@@ -127,16 +124,16 @@ class DensityEvaluator:
         span = x_hi - x_lo
         dz = 2.0 * math.pi / span
 
-        z_req = max(16.0 / self._sigma, 4.0 * (self.params.plus.lam + self.params.minus.lam))
-        doublings = 0
-        while not self._boundary_ok(z_req):
-            z_req *= 2.0
-            doublings += 1
-            if doublings > 80:
-                raise ConvergenceError(
-                    "characteristic function does not reach the floor "
-                    f"{s.cf_floor}; increase cf_floor or use a tilt"
-                )
+        # the first extent z_first 2^j, j = 0..80, where |phi| is below the floor
+        z_first = max(16.0 / self._sigma, 4.0 * (self.params.plus.lam + self.params.minus.lam))
+        z_try = z_first * 2.0 ** np.arange(81)
+        below = np.flatnonzero(log_cf(self._tilted, z_try).real < math.log(s.cf_floor))
+        if not below.size:
+            raise ConvergenceError(
+                "characteristic function does not reach the floor "
+                f"{s.cf_floor}; increase cf_floor or use a tilt"
+            )
+        z_req = float(z_try[below[0]])
         n = max(s.nodes, 2 ** math.ceil(math.log2(z_req / dz)))
         if n > s.max_nodes:
             raise ConvergenceError(
@@ -159,7 +156,12 @@ class DensityEvaluator:
         # the pointwise sum gains nothing above its own roundoff.
         tail = (n - np.arange(n)) * np.abs(phi)
         negligible = np.flatnonzero(tail <= 1e-16)
-        self._support = int(negligible[0]) if negligible.size else n
+        k = self._support = int(negligible[0]) if negligible.size else n
+        # the support as a b x a matrix, node j b + i in row i, column j,
+        # for pdf's factored sum
+        b = math.isqrt(k - 1) + 1  # k >= 1: node 0 carries |phi| = 1/2
+        a = -(-k // b)
+        self._blocks = np.pad(phi[:k], (0, a * b - k)).reshape(a, b).T
 
     # -- evaluation -------------------------------------------------------
 
@@ -205,15 +207,26 @@ class DensityEvaluator:
         xs = np.atleast_1d(np.asarray(x, dtype=float))
         out = np.zeros_like(xs)
         inside = np.flatnonzero((xs >= self._x_lo) & (xs < self._x_lo + self._n * self._dx))
-        k = self._support
-        z, phi = self._z[:k], self._phi[:k]
-        chunk = max(1, int(4e6) // k)
+        chunk = int(4e6) // sum(self._blocks.shape)
         for i in range(0, inside.size, chunk):
             idx = inside[i:i + chunk]
-            kern = np.exp(-1j * np.outer(xs[idx], z))
-            out[idx] = (self._dz / math.pi) * np.real(kern @ phi) * self._tilt_factor(xs[idx])
+            out[idx] = (self._dz / math.pi) * self._fourier_sum(xs[idx]) * self._tilt_factor(xs[idx])
         out = np.maximum(out, 0.0)
         return float(out[0]) if np.ndim(x) == 0 else out
+
+    def _fourier_sum(self, x: np.ndarray) -> np.ndarray:
+        """Re sum_k phi_k e^(-i x k dz) over the support.  With node
+        k = j b + i, this is sum_j e^(-i x j b dz) sum_i e^(-i x i dz) phi_k:
+        a + b exponentials per point and one matrix product, against a b
+        for the direct sum."""
+        b, a = self._blocks.shape
+        kern = np.multiply.outer(x, -1j * self._dz * np.arange(b))
+        part = np.exp(kern, out=kern) @ self._blocks
+        del kern  # the chunk's largest array, freed before the next ones
+        theta = np.multiply.outer(x, (b * self._dz) * np.arange(a))
+        # Re(e^(-i theta) part), summed over j
+        return (np.einsum("ij,ij->i", np.cos(theta), part.real)
+                + np.einsum("ij,ij->i", np.sin(theta), part.imag))
 
     def cdf_grid(self, g: DensityGrid | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Cumulative trapezoid of the grid density, clipped to [0, 1].

@@ -149,6 +149,61 @@ class TestCf:
         assert np.all(np.abs(near - gamma) <= bound)
 
 
+def _mp_leg(alpha, beta, lam, z):
+    """One leg's exponent at iz to 40 digits: alpha Gamma(-beta) lam^beta
+    expm1(beta u), or -alpha u at beta = 0, with u = log1p(-iz/lam)."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        u = mpmath.log1p(mpmath.mpc(0, -mpmath.mpf(z) / mpmath.mpf(lam)))
+        if beta == 0.0:
+            return -alpha * u
+        return (mpmath.mpf(alpha) * mpmath.gamma(-mpmath.mpf(beta)) * mpmath.mpf(lam) ** beta
+                * mpmath.expm1(beta * u))
+
+
+class TestRealAxis:
+    """Real frequencies take log_cf's real-arithmetic form; complex ones
+    keep the complex leg exponent."""
+
+    LEGS = ((1.7, 2.5), (0.3, 0.8))  # (alpha, lam) of the plus and minus legs
+
+    @pytest.mark.parametrize("beta", [0.0, 1e-9, 0.05, 0.5, 0.999])
+    def test_matches_mpmath_and_the_complex_path(self, beta):
+        (ap, lp), (am, lm) = self.LEGS
+        p = TemperedStableParams.create(ap, beta, lp, am, beta, lm)
+        y = np.logspace(-12, 300, 105)
+        z = lp * np.concatenate([y, -y[::3]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = ts.log_cf(p, z)
+            via_complex = ts.log_cf(p, z + 0j)
+        for zi, g, c in zip(z, got, via_complex):
+            plus, minus = _mp_leg(ap, beta, lp, zi), _mp_leg(am, beta, lm, zi).conjugate()
+            # each leg is exp(a + ib) - 1 scaled, and a = beta ln|1 - iz/lam|
+            # carries an absolute rounding error of a few eps a; the legs'
+            # moduli bound the sum's conditioning
+            scale = float(abs(plus) + abs(minus))
+            a = beta * math.log1p(abs(zi) / min(lp, lm))
+            assert abs(g - complex(plus + minus)) <= 2e-15 * (1.0 + a) * scale, (zi, g)
+            assert abs(g - c) <= 1e-14 * scale, (zi, g, c)
+
+    def test_scalar_real_input(self, skewed):
+        assert type(ts.log_cf(skewed, 1.5)) is np.complex128
+        assert ts.log_cf(skewed, 1.5) == pytest.approx(ts.log_cf(skewed, 1.5 + 0j), rel=1e-15)
+        assert ts.log_cf(skewed, np.array([1.5, -2.0])).shape == (2,)
+
+    @pytest.mark.parametrize("z", [np.inf, -np.inf, np.nan, complex(1.0, np.inf),
+                                   complex(np.nan, 0.0)], ids=str)
+    def test_non_finite_frequency_is_domain_error(self, skewed, z):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="non-finite"):
+                ts.log_cf(skewed, np.array([0.5, z]))
+            with pytest.raises(DomainError, match="non-finite"):
+                ts.cf(skewed, z)
+
+
 class TestCumulants:
     def test_symmetric_odd_vanish(self, sym_half):
         assert ts.cumulant(sym_half, 1) == 0.0
