@@ -18,7 +18,7 @@ import numpy as np
 
 from .core import cgf, log_cf, marginal
 from .errors import ConvergenceError, DomainError
-from .measure import check_market
+from .measure import EsscherPair, bilateral_esscher, check_market
 from .params import TemperedStableParams
 from .simulate import leg_generators, sample_one_sided
 
@@ -98,9 +98,13 @@ def call_price_fourier(p_q: TemperedStableParams, market: MarketConfig,
         )
 
     p_t = marginal(p_q, option.maturity)
+    # on the contour, log_cf(p_t, -u - i nu) = cgf(p_t, nu) + log_cf(p_nu, -u)
+    # for the nu-tilted law p_nu, whose transform is taken on the real axis
+    psi_nu = cgf(p_t, nu)
+    p_nu = bilateral_esscher(p_t, EsscherPair(nu, -nu))
     k = math.log(option.strike) - math.log(market.s0)
     # ln of the sum's largest term, the one at u = 0, over spot
-    log_term = (float(np.real(log_cf(p_t, -1j * nu))) - (nu - 1.0) * k
+    log_term = (psi_nu - (nu - 1.0) * k
                 - market.r * option.maturity - math.log(2.0 * math.pi * nu * (nu - 1.0)))
     if not log_term <= _LOG_CONDITION:
         raise ConvergenceError(f"pricing integrand terms reach 10^{log_term / math.log(10.0):.1f}"
@@ -108,7 +112,7 @@ def call_price_fourier(p_q: TemperedStableParams, market: MarketConfig,
 
     def integrand(u):
         z = u + 1j * nu  # contour point; the transform is evaluated at -z
-        return np.exp(1j * u * k + log_cf(p_t, -z)) / (z * (z - 1j))
+        return np.exp(psi_nu + 1j * u * k + log_cf(p_nu, -u)) / (z * (z - 1j))
 
     h = np.abs(integrand(np.append(0.0, _EXTENTS)))
     decayed = np.flatnonzero(h[1:] < 1e-14 * h[0])

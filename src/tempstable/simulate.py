@@ -35,6 +35,10 @@ _BLOCK = 1 << 16
 #: expected recorded jumps on one leg above which a jump floor is refused
 _MAX_JUMPS = 1 << 22
 _HALF_PI_ROOT = math.sqrt(0.5 * math.pi)
+#: gamma = tau beta (1 - beta) from which the double rejection proposes U
+#: from a half normal: its area xi sqrt(pi/(2 gamma)) is below the
+#: uniform's xi pi exactly above 1/(2 pi)
+_HALF_NORMAL_GAMMA = 0.5 / math.pi
 #: ln(sin x / x) = -sum_k zeta(2k)/k (x/pi)^(2k): twelve terms reach
 #: double precision for x below _SERIES_EDGE
 _SERIES_EDGE = 0.5
@@ -160,13 +164,16 @@ def _double_rejection_round(tau: float, beta: float, k: int, rng) -> np.ndarray:
     c3 = (2.0 + _HALF_PI_ROOT) * sg
     log_xi = math.log((1.0 + math.sqrt(2.0) * c3) / math.pi)
     log_psi = math.log(c3 / math.sqrt(math.pi)) - gam * math.pi**2 / 8.0
-    # U's proposal: a half normal (gamma >= 1) or a uniform, mixed with
-    # the density psi / sqrt(pi - u); weights xi sqrt(pi/(2 gamma)) or
-    # xi pi, and 2 psi sqrt(pi)
-    log_first = log_xi + (math.log(_HALF_PI_ROOT / sg) if gam >= 1.0 else math.log(math.pi))
+    # U's proposal: a half normal (gamma >= 1/(2 pi)) or a uniform, mixed
+    # with the density psi / sqrt(pi - u); weights xi sqrt(pi/(2 gamma)) or
+    # xi pi, and 2 psi sqrt(pi).  The half normal bounds U's marginal for
+    # every gamma, as tau (zeta^-2 - 1) >= gamma u^2 / 2: each term of the
+    # series of ln zeta^2 is negative, and the first is -beta (1-beta) u^2/2
+    normal_u = gam >= _HALF_NORMAL_GAMMA
+    log_first = log_xi + (math.log(_HALF_PI_ROOT / sg) if normal_u else math.log(math.pi))
     p_first = 1.0 / (1.0 + math.exp(log_psi + math.log(2.0 * math.sqrt(math.pi)) - log_first))
     v, w = rng.random(k), rng.random(k)
-    if gam >= 1.0:
+    if normal_u:
         u = np.where(v < p_first, np.abs(rng.standard_normal(k)) / sg, np.pi * (1.0 - w * w))
     else:
         u = np.pi * np.where(v < p_first, w, 1.0 - w * w)
@@ -177,7 +184,7 @@ def _double_rejection_round(tau: float, beta: float, k: int, rng) -> np.ndarray:
     lz = _log_zeta2(u, beta)
     zeta_u = np.exp(0.5 * lz)
     z = -1.0 / np.expm1(-np.log1p(beta * zeta_u / sg) / beta)
-    log_d = np.logaddexp(log_xi - (0.5 * gam * u * u if gam >= 1.0 else 0.0),
+    log_d = np.logaddexp(log_xi - (0.5 * gam * u * u if normal_u else 0.0),
                          log_psi - 0.5 * np.log(np.pi - u))
     with np.errstate(over="ignore"):
         log_rho = (math.log(math.pi) + tau * np.expm1(-lz) + log_d
@@ -206,16 +213,21 @@ def _double_rejection_round(tau: float, beta: float, k: int, rng) -> np.ndarray:
 
 
 def _double_rejection(tau: float, beta: float, n: int, rng) -> np.ndarray:
-    """n draws of ``_double_rejection_round``'s law, in rounds over the
-    pending slots."""
+    """n draws of ``_double_rejection_round``'s law.  The first round tries
+    n candidates; each later one tries enough, by the acceptance seen so
+    far, to fill the pending slots with a 5% margin, but never more than n.
+    The accepted draws are iid and their order does not depend on their
+    values, so keeping the first ones that fit is exact."""
     out = np.empty(n)
-    done = 0
+    done = tried = 0
     for _ in range(_MAX_REJECTION_ROUNDS):
         if done == n:
             return out
-        got = _double_rejection_round(tau, beta, n - done, rng)
+        k = min(n, math.ceil((n - done) * (tried + 1) / (done + 1) * 1.05) + 1)
+        got = _double_rejection_round(tau, beta, k, rng)[:n - done]
         out[done:done + got.size] = got
         done += got.size
+        tried += k
     raise ConvergenceError(f"double rejection did not terminate (tilt {tau:.3g}, beta={beta})")
 
 

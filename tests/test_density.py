@@ -248,6 +248,19 @@ class TestCdf:
             ev.cdf(float(x))
         assert len(calls) == 1
 
+    def test_grid_is_built_once_and_read_only(self, skewed, monkeypatch):
+        ev = ts.DensityEvaluator(skewed)
+        g = ev.grid()
+        assert ev.grid() is g
+        assert not (g.x.flags.writeable or g.pdf.flags.writeable)
+        ffts = []
+        fft = np.fft.fft
+        monkeypatch.setattr(np.fft, "fft", lambda a: ffts.append(a.size) or fft(a))
+        x, c = ev.cdf_grid()
+        assert x is g.x and ev.cdf(0.5) == np.interp(0.5, x, c)
+        ev.mode()
+        assert not ffts
+
     def test_symmetric_median(self, sym_half):
         assert ts.cdf(sym_half, 0.0) == pytest.approx(0.5, abs=1e-6)
 

@@ -89,6 +89,24 @@ class TestFourierCall:
         assert np.all(np.diff(prices_t) > 0.0)
 
 
+class TestTiltedTransform:
+    @pytest.mark.parametrize("law", [
+        (1.0, 0.3, 3.0, 2.0, 0.6, 4.0),  # the README law
+        (0.6, 0.4, 4.0, 0.5, 0.5, 3.5),  # the criterion-9 law
+        (1.0, 0.0, 3.0, 2.0, 0.6, 4.0),  # a Gamma plus leg
+    ], ids=["readme", "criterion-9", "gamma-leg"])
+    def test_contour_is_the_tilted_law_on_the_real_axis(self, law):
+        # the pricer's integrand: log_cf(p, -u - i nu) = cgf(p, nu) + log_cf(p_nu, -u)
+        p = TemperedStableParams.create(*law)
+        u = np.concatenate((np.geomspace(1e-8, 1e4, 600), np.linspace(0.0, 1e4, 401)))
+        for frac in (0.001, 0.25, 0.5, 0.75, 0.999):
+            nu = 1.0 + frac * (p.plus.lam - 1.0)
+            contour = ts.log_cf(p, -u - 1j * nu)
+            tilted = ts.bilateral_esscher(p, ts.EsscherPair(nu, -nu))
+            real_axis = ts.cgf(p, nu) + ts.log_cf(tilted, -u)
+            assert np.all(np.abs(real_axis - contour) <= 1e-13 * np.maximum(1.0, np.abs(contour)))
+
+
 class TestPlannedGrid:
     @pytest.mark.parametrize("strike, maturity, nu_frac", [
         (60.0, 0.25, 0.02), (60.0, 3.0, 0.98), (150.0, 0.25, 0.98), (150.0, 3.0, 0.02),

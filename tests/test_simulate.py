@@ -7,10 +7,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.special import gamma as G
-from scipy.stats import ks_2samp
+from scipy.stats import ks_2samp, kstest
 
 import tempstable as ts
 from tempstable import DomainError, OneSidedParams, PathConfig, TemperedStableParams
+from tempstable import simulate
 from tempstable.simulate import _KANTER_MAX_TILT, _kanter_stable
 
 
@@ -94,6 +95,24 @@ class TestSampleOneSided:
         assert isinstance(val, float) and val >= 0.0
 
 
+def _check_laplace_transform_and_mean(rng, tau, beta):
+    n = 100_000
+    leg = OneSidedParams(tau * beta / G(1.0 - beta), beta, 1.0)
+    x = ts.sample_one_sided(leg, 1.0, rng, size=n)
+    mean, sd = tau * beta, math.sqrt(tau * beta * (1.0 - beta))
+    assert abs(np.mean(x) - mean) < 4.0 * sd / math.sqrt(n)
+
+    def centred_transform(s):
+        # E exp(-s (X - mean) / sd), in logs so that large tilts do not overflow
+        return math.exp(s * mean / sd - tau * math.expm1(beta * math.log1p(s / sd)))
+
+    for s in (0.3, 1.0, 1.5):
+        probe = np.exp(-s * (x - mean) / sd)
+        target = centred_transform(s)
+        se = math.sqrt((centred_transform(2.0 * s) - target**2) / n)
+        assert abs(np.mean(probe) - target) < 4.0 * se
+
+
 class TestTiltedStableSampler:
     """At lam = t = 1 and alpha = tau beta / Gamma(1-beta) a draw X has
     Laplace transform exp(-tau ((1+s)^beta - 1)), mean tau beta and
@@ -107,21 +126,42 @@ class TestTiltedStableSampler:
     @pytest.mark.parametrize("tau", [1e-3, 0.5, 0.999 * _KANTER_MAX_TILT,
                                      1.001 * _KANTER_MAX_TILT, 3.0, 1e2, 1e4, 1e10])
     def test_laplace_transform_and_mean(self, rng, tau, beta):
-        n = 100_000
-        leg = OneSidedParams(tau * beta / G(1.0 - beta), beta, 1.0)
-        x = ts.sample_one_sided(leg, 1.0, rng, size=n)
-        mean, sd = tau * beta, math.sqrt(tau * beta * (1.0 - beta))
-        assert abs(np.mean(x) - mean) < 4.0 * sd / math.sqrt(n)
+        _check_laplace_transform_and_mean(rng, tau, beta)
 
-        def centred_transform(s):
-            # E exp(-s (X - mean) / sd), in logs so that large tilts do not overflow
-            return math.exp(s * mean / sd - tau * math.expm1(beta * math.log1p(s / sd)))
+    # gamma = tau beta (1 - beta) in [1/(2 pi), 1), where U's proposal is
+    # the half normal, and either side of its ends: 1/(2 pi) is at tau
+    # 3.35 for beta = 0.05 (for beta = 0.4 it is at tau 0.66, on Kanter's
+    # side), and 1 at tau 4.17 for beta = 0.4
+    @pytest.mark.parametrize("tau, beta", [(2.5, 0.2), (4.5, 0.2), (2.5, 0.8), (4.5, 0.8),
+                                           (3.2, 0.05), (3.5, 0.05), (4.0, 0.4), (4.4, 0.4)])
+    def test_half_normal_band(self, rng, tau, beta):
+        _check_laplace_transform_and_mean(rng, tau, beta)
 
-        for s in (0.3, 1.0, 1.5):
-            probe = np.exp(-s * (x - mean) / sd)
-            target = centred_transform(s)
-            se = math.sqrt((centred_transform(2.0 * s) - target**2) / n)
-            assert abs(np.mean(probe) - target) < 4.0 * se
+    @pytest.mark.parametrize("plus, minus", [((3.5, 0.4), (4.5, 0.3)),
+                                             ((2.5, 0.2), (6.0, 0.8))])
+    def test_difference_matches_inversion_cdf(self, rng, plus, minus):
+        # legs at (tau, beta) in the half-normal band; 1.95/sqrt(n) is the
+        # Kolmogorov-Smirnov critical value at level 0.1%
+        n = 400_000
+        law = TemperedStableParams.create(*(v for tau, beta in (plus, minus)
+                                            for v in (tau * beta / G(1.0 - beta), beta, 1.0)))
+        x = (ts.sample_one_sided(law.plus, 1.0, rng, size=n)
+             - ts.sample_one_sided(law.minus, 1.0, rng, size=n))
+        assert kstest(x, ts.DensityEvaluator(law).cdf).statistic < 1.95 / math.sqrt(n)
+
+    def test_small_call_takes_few_rounds(self, rng, monkeypatch):
+        sizes = []
+        plain_round = simulate._double_rejection_round
+
+        def counting_round(tau, beta, k, rng):
+            sizes.append(k)
+            return plain_round(tau, beta, k, rng)
+
+        monkeypatch.setattr(simulate, "_double_rejection_round", counting_round)
+        leg = OneSidedParams(13.0 * 0.4 / G(0.6), 0.4, 1.0)
+        x = ts.sample_one_sided(leg, 1.0, rng, size=1000)
+        assert x.size == 1000
+        assert len(sizes) <= 6 and max(sizes) <= 1000
 
     @pytest.mark.parametrize("tau", [130.0, 1e4])
     def test_memory_is_bounded_by_the_block(self, rng, tau):
