@@ -1,6 +1,7 @@
 """Command-line front door.
 
-Exit codes: 0 success, 2 validation error, 3 numerical non-convergence.
+Exit codes: 0 success, 2 validation error (or an allocation the machine
+refuses), 3 numerical non-convergence.
 Errors print one machine-parsable line ``error CODE: message`` to stderr.
 Structured results go to stdout as JSON, with floats in Python's shortest
 round-trip form (each parses back to the identical double) and non-finite
@@ -64,13 +65,14 @@ def _load_two_sided(path) -> TemperedStableParams:
 
 class _ErrorBoundary(click.Group):
     """Runs every subcommand; a ConvergenceError exits 3, any other
-    library error exits 2, each after one ``error CODE: message`` line."""
+    library error or an allocation the machine refuses (``OUT_OF_MEMORY``)
+    exits 2, each after one ``error CODE: message`` line."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except TempStableError as exc:
-            click.echo(f"error {exc.code}: {exc}", err=True)
+        except (TempStableError, MemoryError) as exc:
+            click.echo(f"error {getattr(exc, 'code', 'OUT_OF_MEMORY')}: {exc}", err=True)
             sys.exit(EXIT_NUMERICAL if isinstance(exc, ConvergenceError) else EXIT_VALIDATION)
 
 
@@ -97,7 +99,7 @@ def density(ctx, params_path, nodes, extent_sd, tilt, out_path):
     settings = _density.InversionSettings(nodes=nodes, extent_sd=extent_sd, tilt=tilt)
     ev = _density.DensityEvaluator(p, settings)
     grid = ev.grid()
-    x, cdf_vals = ev.cdf_grid(grid)
+    x, cdf_vals = ev.cdf_grid()
     # one % pass over all rows; Python floats format faster than numpy scalars
     rows = np.column_stack((x, grid.pdf, cdf_vals)).ravel().tolist()
     text = "x,pdf,cdf\n" + "%.17g,%.17g,%.17g\n" * len(x) % tuple(rows)

@@ -234,14 +234,9 @@ class DensityEvaluator:
         return (np.einsum("ij,ij->i", np.cos(theta), part.real)
                 + np.einsum("ij,ij->i", np.sin(theta), part.imag))
 
-    def cdf_grid(self, g: DensityGrid | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """Cumulative trapezoid of the grid density, clipped to [0, 1].
-
-        ``g`` is a grid this evaluator returned; by default its own
-        ``grid()``.
-        """
-        if g is None:
-            g = self.grid()
+    def cdf_grid(self) -> tuple[np.ndarray, np.ndarray]:
+        """Cumulative trapezoid of ``grid()``'s density, clipped to [0, 1]."""
+        g = self.grid()
         inc = 0.5 * (g.pdf[1:] + g.pdf[:-1]) * self._dx
         c = np.concatenate(([0.0], np.cumsum(inc)))
         return g.x, np.clip(c, 0.0, 1.0)

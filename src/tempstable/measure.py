@@ -28,6 +28,9 @@ MARTINGALE_RESIDUAL_TOL = 1e-10
 
 _REL_TOL = 1e-12
 
+#: brentq's stopping bracket, below which the root solve bisects to adjacent floats
+_XTOL, _RTOL = 1e-14, 8.9e-16
+
 #: lower end of the clipped search interval for the downward curve tilt
 _THETA_FLOOR = -1e6
 
@@ -165,14 +168,10 @@ def esscher_martingale(p: TemperedStableParams, r: float, q_div: float) -> Marti
             theta=math.nan, residual=math.nan, exists=False,
             message=f"r - q = {rq} outside the attainable range ({f_lo}, {f_hi}]",
         )
-    if rq == f_hi:
-        theta = hi
-    else:
-        theta = brentq(lambda th: esscher_f(p, th) - rq, lo, hi,
-                       xtol=1e-14, rtol=8.9e-16)
+    theta, neighbours = _increasing_root(lambda th: esscher_f(p, th) - rq, lo, hi)
     new_params = bilateral_esscher(p, EsscherPair(theta, -theta))
     residual = abs(martingale_residual(new_params, r, q_div))
-    _check_residual(residual)
+    _check_residual(residual, neighbours)
     return MartingaleSolve(theta=theta, residual=residual, exists=True,
                            new_params=new_params)
 
@@ -206,24 +205,26 @@ def phi_domain(p: TemperedStableParams, r: float, q_div: float) -> tuple[float, 
     downward-tilt equation loses solvability on the clipped search
     bracket: below theta1 the downward tilt would have to fall past the
     floor, above theta2 it would have to reach the downward rate itself.
+    A domain that the clipping or the float grid leaves empty
+    (theta1 == theta2) is a ``DomainError``.
     """
     _require_curve(p, r, q_div)
     rq = r - q_div
     hi = p.plus.lam - 1.0
     lo = max(_THETA_FLOOR, hi - 1e6)
     tm_lo, tm_hi = _curve_brackets(p)
-
-    def solve_plus(target: float) -> float:
-        # plus part is strictly increasing from ~0 (theta -> -inf) to sup_plus
-        if _plus_part(p, lo) >= target:
-            return lo
-        if _plus_part(p, hi) <= target:
-            return hi
-        return brentq(lambda th: _plus_part(p, th) - target, lo, hi,
-                      xtol=1e-14, rtol=8.9e-16)
-
-    theta1 = solve_plus(rq - _minus_part(p, tm_lo))
-    theta2 = solve_plus(rq - _minus_part(p, tm_hi))
+    # the plus part increases from ~0 (theta -> -inf) to sup_plus at theta = hi
+    ends = []
+    for tm in (tm_lo, tm_hi):
+        minus = _minus_part(p, tm)
+        ends.append(_increasing_root(lambda th: _plus_part(p, th) + minus - rq, lo, hi)[0])
+    theta1, theta2 = ends
+    if not theta1 < theta2:
+        raise DomainError(
+            f"the bilateral martingale curve is empty: on the clipped brackets "
+            f"theta in [{lo}, {hi}] and theta- in [{tm_lo}, {tm_hi}] both of its "
+            f"ends fall on theta = {theta1}"
+        )
     return theta1, theta2
 
 
@@ -237,35 +238,37 @@ def martingale_curve_phi(p: TemperedStableParams, theta: float,
     a sign change on the clipped bracket is the same solvability test
     that ``phi_domain`` locates the curve endpoints with.
     """
+    return _curve_solve(p, theta, r, q_div)[0]
+
+
+def _curve_solve(p: TemperedStableParams, theta: float, r: float, q_div: float):
+    # the downward tilt and the martingale residuals at the adjacent floats around it
     _require_curve(p, r, q_div)
     if not theta <= p.plus.lam - 1.0:
         raise DomainError(
             f"theta = {theta} outside the curve domain: it must not exceed "
             f"lambda+ - 1 = {p.plus.lam - 1.0}"
         )
-    rq = r - q_div
-    plus = _plus_part(p, theta)
-
-    def residual(theta_minus: float) -> float:
-        return plus + _minus_part(p, theta_minus) - rq
-
+    plus, rq = _plus_part(p, theta), r - q_div
     lo, hi = _curve_brackets(p)
-    r_lo, r_hi = residual(lo), residual(hi)
-    if not (r_hi < 0.0 < r_lo):
+    # minus the residual, which increases in the downward tilt
+    theta_minus, (f_a, f_b) = _increasing_root(
+        lambda tm: -(plus + _minus_part(p, tm) - rq), lo, hi)
+    if f_a > 0.0 or f_b < 0.0:
         raise DomainError(
-            f"theta = {theta} outside the curve domain: the downward tilt "
-            f"equation has residuals ({r_lo}, {r_hi}) at the clipped bracket"
+            f"theta = {theta} outside the curve domain: the downward tilt equation "
+            f"keeps the sign of its residual {-f_a:.3e} on the clipped bracket [{lo}, {hi}]"
         )
-    return brentq(residual, lo, hi, xtol=1e-14, rtol=8.9e-16)
+    return theta_minus, (-f_a, -f_b)
 
 
 def curve_point(p: TemperedStableParams, theta: float,
                 r: float, q_div: float) -> MartingaleSolve:
     """Full solve for one point of the bilateral martingale curve."""
-    theta_minus = martingale_curve_phi(p, theta, r, q_div)
+    theta_minus, neighbours = _curve_solve(p, theta, r, q_div)
     new_params = bilateral_esscher(p, EsscherPair(theta, theta_minus))
     residual = abs(martingale_residual(new_params, r, q_div))
-    _check_residual(residual)
+    _check_residual(residual, neighbours)
     return MartingaleSolve(theta=(theta, theta_minus), residual=residual,
                            exists=True, new_params=new_params)
 
@@ -300,11 +303,50 @@ def minimal_martingale(p: TemperedStableParams, r: float, q_div: float) -> Minim
     return MinimalMartingaleResult(c=c, exists=True, factors=factors)
 
 
-def _check_residual(residual: float) -> None:
-    # universal postcondition of every martingale solve in this module
+def _increasing_root(f, lo: float, hi: float) -> tuple[float, tuple[float, float]]:
+    """Root of the increasing ``f`` on [lo, hi], to the float.
+
+    Returns ``lo`` when f(lo) >= 0 and ``hi`` when f(hi) <= 0, each with
+    that end's value twice.  Otherwise brentq's root is bisected down to the
+    adjacent floats a < b with f(a) < 0 <= f(b), unless it meets f = 0 on
+    the way, and it returns the float of least |f| that the search met, at
+    worst the better of a and b, with (f(a), f(b)).
+    """
+    f_a, f_b = f(lo), f(hi)
+    if f_a >= 0.0:
+        return lo, (f_a, f_a)
+    if f_b <= 0.0:
+        return hi, (f_b, f_b)
+    a, b, best = lo, hi, min((-f_a, lo), (f_b, hi))
+    x = brentq(f, lo, hi, xtol=_XTOL, rtol=_RTOL)
+    # brentq stops on a sign change between x and a float within w of it:
+    # probe x, then that float, then halve the bracket
+    w = _XTOL + _RTOL * abs(x)
+    probes = [x - w, x + w, x]
+    while best[0] > 0.0 and math.nextafter(a, b) < b:
+        m = probes.pop() if probes else a + 0.5 * (b - a)
+        if not a < m < b:
+            continue
+        f_m = f(m)
+        best = min(best, (abs(f_m), m))
+        if f_m < 0.0:
+            a, f_a = m, f_m
+        else:
+            b, f_b = m, f_m
+    return best[1], (f_a, f_b)
+
+
+def _check_residual(residual: float, neighbours: tuple[float, float] | None = None) -> None:
+    # universal postcondition of every martingale solve in this module; a root
+    # solve passes the residuals at the two adjacent floats around its root
     if not (residual <= MARTINGALE_RESIDUAL_TOL):
+        cause = "" if neighbours is None else (
+            " at the best float: the two adjacent floats around the root have "
+            f"residuals {neighbours[0]:+.2e} and {neighbours[1]:+.2e}, so the law "
+            "is ill-conditioned at double precision"
+        )
         raise ConvergenceError(
-            f"martingale residual {residual:.3e} exceeds {MARTINGALE_RESIDUAL_TOL}"
+            f"martingale residual {residual:.3e} exceeds {MARTINGALE_RESIDUAL_TOL}{cause}"
         )
 
 

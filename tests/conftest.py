@@ -13,6 +13,14 @@ from scipy.integrate import quad
 from tempstable import OneSidedParams, TemperedStableParams
 
 
+#: laws whose martingale curve domain came out empty at r = 0.03, q = 0,
+#: (-1e6, -1e6) and (765.01..., 765.01...), before that was a DomainError
+EMPTY_CURVE_LAWS = [
+    (874204.6179464337, 1e-9, 0.001, 1e-6, 1e-9, 406.91509968373884),
+    (752172.5427470368, 0.999, 766.0144946962084, 860691.4795350108, 0.999, 292.7048263797398),
+]
+
+
 def levy_cgf_one_sided(alpha, beta, lam, z):
     """Quadrature of int (e^{zx} - 1) alpha x^{-1-beta} e^{-lam x} dx."""
     f = lambda x: alpha * x ** (-1.0 - beta) * (np.exp((z - lam) * x) - np.exp(-lam * x))

@@ -6,6 +6,7 @@ import pytest
 from click.testing import CliRunner
 
 import tempstable as ts
+from conftest import EMPTY_CURVE_LAWS
 from tempstable import ConvergenceError, TempStableError
 from tempstable.cli import main
 
@@ -439,6 +440,27 @@ def test_simulate_too_many_jumps_exits_2(runner, tmp_path, skewed):
                                   "--out", str(tmp_path / "out")])
     assert result.exit_code == 2
     assert result.stderr.startswith("error PARAM_DOMAIN:")
+
+
+def test_simulate_unallocatable_grid_exits_2(runner, tmp_path, skewed):
+    # 10^15 steps: numpy refuses the 7 PiB time grid at once; that was a traceback, exit 1
+    path = tmp_path / "law.json"
+    ts.save_params(skewed, path)
+    result = runner.invoke(main, ["simulate", "--params", str(path), "--horizon", "1e15",
+                                  "--step", "1", "--seed", "1", "--out", str(tmp_path / "d")])
+    assert result.exit_code == 2
+    assert result.stderr.startswith("error OUT_OF_MEMORY: Unable to allocate")
+    assert result.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("law", EMPTY_CURVE_LAWS)
+def test_measure_curve_empty_domain_exits_2(runner, tmp_path, law):
+    path = tmp_path / "law.json"
+    ts.save_params(ts.TemperedStableParams.create(*law), path)
+    result = runner.invoke(main, ["measure", "curve", "--params", str(path), "--r", "0.03",
+                                  "--theta-grid", "0"])
+    assert result.exit_code == 2
+    assert result.stderr.startswith("error PARAM_DOMAIN: the bilateral martingale curve is empty")
 
 
 # click keeps the last value of a repeated option, so each case overrides

@@ -1,16 +1,23 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 import tempstable as ts
+from conftest import EMPTY_CURVE_LAWS
 from tempstable import (
+    ConvergenceError,
     DomainError,
     EsscherPair,
     NoMartingaleMeasureError,
     TemperedStableParams,
+    TempStableError,
 )
+from tempstable.measure import _increasing_root
 
 
 @pytest.fixture
@@ -164,6 +171,24 @@ class TestEsscherMartingale:
         assert sol.exists
         assert sol.residual <= 1e-10
 
+    def test_root_between_floats_meets_the_gate(self):
+        # brentq's float had residual 2.6e-10; an adjacent float has 8.8e-11
+        p = TemperedStableParams.create(512638.7602432579, 0.1763105942450143, 1.5,
+                                        512638.7602432579, 0.1763105942450143, 1.5)
+        sol = ts.esscher_martingale(p, 0.03, 0.0)
+        assert sol.exists
+        assert sol.residual <= 1e-10
+
+    def test_ill_conditioned_law_names_adjacent_residuals(self):
+        # no float meets the gate: the residual jumps by 1.8e-9 between adjacent floats
+        p = TemperedStableParams.create(219011.4046016295, 0.7140060001550653, 98.23675074703844,
+                                        368711.61879779975, 0.19625423793308067, 543.2723846459726)
+        with pytest.raises(ConvergenceError, match="ill-conditioned at double precision") as exc:
+            ts.esscher_martingale(p, 0.03, 0.0)
+        below, above = map(float, re.search(r"residuals (\S+) and (\S+),", str(exc.value)).groups())
+        assert below == pytest.approx(-1.6e-9, rel=0.05)
+        assert above == pytest.approx(2.0e-10, rel=0.05)
+
     def test_tilt_function_finite_at_closed_ends(self, skewed_tight, upper_end_rounds):
         for p in (skewed_tight, upper_end_rounds):
             lo, hi = -p.minus.lam, p.plus.lam - 1.0
@@ -212,6 +237,11 @@ class TestMartingaleCurve:
         with pytest.raises(DomainError):
             ts.martingale_curve_phi(skewed_tight, t2 + 0.5, r, q)
 
+    @pytest.mark.parametrize("law", EMPTY_CURVE_LAWS)
+    def test_empty_domain_is_domain_error(self, law):
+        with pytest.raises(DomainError, match="curve is empty: on the clipped brackets"):
+            ts.phi_domain(TemperedStableParams.create(*law), 0.03, 0.0)
+
     def test_theta_outside_domain_named(self, skewed_tight):
         # below theta1, between theta2 and lambda+ - 1, and above lambda+ - 1
         r, q = 0.04, 0.01
@@ -221,6 +251,22 @@ class TestMartingaleCurve:
         for theta in (t1 - 0.5, 0.5 * (t2 + edge), edge + 0.5):
             with pytest.raises(DomainError, match="outside the curve domain"):
                 ts.martingale_curve_phi(skewed_tight, theta, r, q)
+
+
+class TestIncreasingRoot:
+    def test_best_of_adjacent_floats(self):
+        # no float squares to exactly 2
+        f = lambda x: x * x - 2.0
+        x, (below, above) = _increasing_root(f, 0.0, 5.0)
+        assert below < 0.0 < above
+        a, b = (x, math.nextafter(x, math.inf)) if f(x) < 0.0 else (math.nextafter(x, 0.0), x)
+        assert (f(a), f(b)) == (below, above)
+        assert abs(f(x)) == min(-below, above)
+
+    def test_one_sign_returns_the_end(self):
+        assert _increasing_root(lambda x: x + 1.0, 0.0, 1.0) == (0.0, (1.0, 1.0))
+        assert _increasing_root(lambda x: x - 2.0, 0.0, 1.0) == (1.0, (-1.0, -1.0))
+        assert _increasing_root(lambda x: x - 1.0, 0.0, 1.0) == (1.0, (0.0, 0.0))
 
 
 class TestMinimalMartingale:
@@ -284,3 +330,30 @@ class TestMeasureInvariants:
             grid = np.linspace(lo, hi, 100)
             vals = [ts.esscher_f(p, th) for th in grid]
             assert np.all(np.diff(vals) > 0.0)
+
+
+_ALPHA = st.floats(1e-6, 1e6)
+_BETA = st.one_of(st.just(0.0), st.floats(1e-9, 0.999))
+_LAM = st.floats(1e-3, 1e3)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(law=st.tuples(_ALPHA, _BETA, _LAM, _ALPHA, _BETA, _LAM))
+def test_curve_domain_is_nonempty_or_typed_error(law):
+    r = 0.03
+    p = TemperedStableParams.create(*law)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            t1, t2 = ts.phi_domain(p, r, 0.0)
+        except TempStableError:
+            return
+        assert t1 < t2
+        try:
+            point = ts.curve_point(p, 0.5 * (t1 + t2), r, 0.0)
+        except ConvergenceError as exc:
+            assert "ill-conditioned at double precision" in str(exc), exc
+            return
+        except TempStableError:
+            return
+        assert point.residual <= 1e-10
