@@ -149,8 +149,9 @@ def martingale_residual(p_new: TemperedStableParams, r: float, q_div: float) -> 
 def esscher_martingale(p: TemperedStableParams, r: float, q_div: float) -> MartingaleSolve:
     """Single-parameter Esscher martingale measure, when it exists.
 
-    Existence needs lambda+ + lambda- > 1 and r - q inside the range of
-    the tilt function; the solve then brackets the unique root.
+    Existence needs lambda+ + lambda- > 1 and r - q inside the range
+    (f(lo), f(hi)] of the tilt function; the root solve's one-sign ends
+    carry that test.
     """
     check_market(r, q_div)
     _require_positive_betas(p, "the Esscher martingale condition")
@@ -161,14 +162,16 @@ def esscher_martingale(p: TemperedStableParams, r: float, q_div: float) -> Marti
             message=f"rate condition failed: lambda+ + lambda- = {lp + lm} <= 1",
         )
     lo, hi = -lm, lp - 1.0
-    f_lo, f_hi = esscher_f(p, lo), esscher_f(p, hi)
     rq = r - q_div
-    if not (f_lo < rq <= f_hi):
+    theta, neighbours = _increasing_root(lambda th: esscher_f(p, th) - rq, lo, hi)
+    # r - q outside (f(lo), f(hi)] comes back as lo with f(lo) - rq >= 0 or as
+    # hi with f(hi) - rq < 0; f(hi) = r - q is a root at hi
+    if neighbours[1] < 0.0 or (theta == lo and neighbours[0] >= 0.0):
         return MartingaleSolve(
             theta=math.nan, residual=math.nan, exists=False,
-            message=f"r - q = {rq} outside the attainable range ({f_lo}, {f_hi}]",
+            message=f"r - q = {rq} outside the attainable range "
+                    f"({esscher_f(p, lo)}, {esscher_f(p, hi)}]",
         )
-    theta, neighbours = _increasing_root(lambda th: esscher_f(p, th) - rq, lo, hi)
     new_params = bilateral_esscher(p, EsscherPair(theta, -theta))
     residual = abs(martingale_residual(new_params, r, q_div))
     _check_residual(residual, neighbours)

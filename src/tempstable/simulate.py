@@ -7,7 +7,9 @@ law with scale c = alpha t Gamma(1-beta)/beta tempered at rate lam; with
 its tilt tau = c lam^beta at most 2, a draw is one positive stable
 proposal S (Kanter's representation) kept with probability e^(-lam S),
 which is e^(-tau) >= e^-2 on average, and above that it is Devroye's
-double rejection.
+double rejection, whose inner test proposes Kanter's angle U from a
+table of bounds on its tilted marginal, built once per tilt and beta;
+two thirds or more of its candidates become draws.
 Paths are sums of per-step increments; when a jump record is requested,
 jumps above the floor come from an exact compound-Poisson layer and the
 sub-floor remainder is folded into a moment-matched Gamma increment per
@@ -16,6 +18,7 @@ step.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -35,10 +38,9 @@ _BLOCK = 1 << 16
 #: expected recorded jumps on one leg above which a jump floor is refused
 _MAX_JUMPS = 1 << 22
 _HALF_PI_ROOT = math.sqrt(0.5 * math.pi)
-#: gamma = tau beta (1 - beta) from which the double rejection proposes U
-#: from a half normal: its area xi sqrt(pi/(2 gamma)) is below the
-#: uniform's xi pi exactly above 1/(2 pi)
-_HALF_NORMAL_GAMMA = 0.5 / math.pi
+#: U's envelope table: uniform pieces up to _U_REACH/sqrt(gamma)
+_U_PIECES, _U_REACH = 64, 6.0
+_U_GRID = np.linspace(0.0, 1.0, _U_PIECES + 1)
 #: ln(sin x / x) = -sum_k zeta(2k)/k (x/pi)^(2k): twelve terms reach
 #: double precision for x below _SERIES_EDGE
 _SERIES_EDGE = 0.5
@@ -120,26 +122,91 @@ def _tempered_stable_fill(c: float, beta: float, lam: float, n: int, rng) -> np.
     )
 
 
+@functools.lru_cache(maxsize=64)
+def _sinc_series(beta: float) -> tuple:
+    # the coefficients of ln zeta^2 in (u/pi)^2 below _SERIES_EDGE, highest first
+    b = min(beta, 1.0 - beta)
+    n = 2.0 * _SINC_SERIES_K + 1.0
+    return tuple((_SINC_SERIES * (np.expm1(n * math.log1p(-b)) + b**n))[::-1].tolist())
+
+
 def _log_zeta2(u: np.ndarray, beta: float) -> np.ndarray:
     """ln of zeta^2 = sinc(u) / (sinc(beta u)^beta sinc((1-beta) u)^(1-beta)),
     with sinc x = sin(x)/x; zeta^2 is at most 1.
 
     The double rejection multiplies this by the tilt, up to 1e20, where it
     is O(u^2).  Below ``_SERIES_EDGE`` it is therefore summed from the
-    series of ln sinc, whose coefficients 1 - beta^(2k+1) - (1-beta)^(2k+1)
-    (symmetric in beta <-> 1-beta) are formed without cancellation.
+    series of ln sinc, whose coefficients -(1 - beta^(2k+1) -
+    (1-beta)^(2k+1)) zeta(2k)/k (symmetric in beta <-> 1-beta) are formed
+    without cancellation.  Every one is negative, so ln zeta^2 decreases
+    in u on [0, pi).
     """
     out = np.empty_like(u)
     near = u < _SERIES_EDGE
-    b = min(beta, 1.0 - beta)
-    n = 2.0 * _SINC_SERIES_K + 1.0
-    coef = _SINC_SERIES * (-np.expm1(n * math.log1p(-b)) - b**n)
-    out[near] = -np.polynomial.polynomial.polyval((u[near] / np.pi) ** 2, np.append(0.0, coef))
+    x = (u[near] / np.pi) ** 2
+    top, *rest = _sinc_series(beta)
+    acc = top * x
+    for c in rest:
+        acc += c
+        acc *= x
+    out[near] = acc
     x = u[~near]
     out[~near] = (np.log(np.sin(x)) - beta * np.log(np.sin(beta * x))
                   - (1.0 - beta) * np.log(np.sin((1.0 - beta) * x))
                   + beta * math.log(beta) + (1.0 - beta) * math.log1p(-beta))
     return out
+
+
+def _u_marginal(u: np.ndarray, tau: float, beta: float, sg: float):
+    """ln zeta^2, zeta, z and ln g at u, for U's tilted marginal g = A B:
+    A = (1 + sqrt(pi/2)) sg/zeta + z, z = 1/(1 - (1 + beta zeta/sg)^(-1/beta)),
+    B = exp(-tau (zeta^-2 - 1)), sg = sqrt(tau beta (1-beta))."""
+    lz = _log_zeta2(u, beta)
+    zeta_u = np.exp(0.5 * lz)
+    z = -1.0 / np.expm1(-np.log1p(beta * zeta_u / sg) / beta)
+    return lz, zeta_u, z, np.log((1.0 + _HALF_PI_ROOT) * sg / zeta_u + z) - tau * np.expm1(-lz)
+
+
+@functools.lru_cache(maxsize=64)
+def _u_envelope(tau: float, beta: float):
+    """Piecewise-constant bound on U's tilted marginal g on (0, pi) for
+    ``_double_rejection_round``: the pieces' cumulative masses (ending at
+    1), left ends, widths and ln heights.
+
+    g decreases in u for tau > 1/2, so its value at a piece's left end
+    bounds it on the piece.  zeta decreases in u (``_log_zeta2``); B has
+    d ln B/d zeta = 2 tau/zeta^3 > 1/zeta; and zeta A = (1 + sqrt(pi/2)) sg
+    + zeta z does not decrease in zeta, as x/(1 - (1+x)^(-q)) increases
+    in x > 0 for q = 1/beta >= 1, so d ln A/d zeta >= -1/zeta.  The pieces
+    are uniform up to min(pi, R/sg), R = ``_U_REACH``, and one more runs
+    on to pi when that is short of it: there B < exp(-R^2/2), as
+    tau (zeta^-2 - 1) >= (sg u)^2/2 (the first term of the series of
+    -ln zeta^2 is beta (1-beta) u^2/2).
+    """
+    sg = math.sqrt(tau * beta * (1.0 - beta))
+    top = min(math.pi, _U_REACH / sg)
+    nodes = top * _U_GRID
+    if top == math.pi:
+        nodes = nodes[:-1]
+    log_h = _u_marginal(nodes, tau, beta, sg)[3]
+    width = np.append(nodes[1:], math.pi) - nodes
+    cum = np.cumsum(width * np.exp(log_h - log_h[0]))
+    return cum / cum[-1], nodes, width, log_h
+
+
+def _accepted_u(tau: float, beta: float, k: int, rng):
+    """The candidates among k that pass the double rejection's inner test:
+    U proposed from ``_u_envelope``'s table h and kept when
+    e = ln g(U) - ln h(U) + E >= 0, E standard exponential.  Returns
+    ln zeta^2, zeta, z and e at the kept ones; given a kept U, e is again
+    standard exponential, and the outer test reuses it."""
+    cum, lo, width, log_h = _u_envelope(tau, beta)
+    piece = np.searchsorted(cum, rng.random(k), side="right")
+    u = lo[piece] + rng.random(k) * width[piece]
+    lz, zeta_u, z, log_g = _u_marginal(u, tau, beta, math.sqrt(tau * beta * (1.0 - beta)))
+    e = rng.standard_exponential(k) + log_g - log_h[piece]
+    keep = e >= 0.0
+    return lz[keep], zeta_u[keep], z[keep], e[keep]
 
 
 def _double_rejection_round(tau: float, beta: float, k: int, rng) -> np.ndarray:
@@ -151,47 +218,18 @@ def _double_rejection_round(tau: float, beta: float, k: int, rng) -> np.ndarray:
     the lambda^alpha = tau form of M. Hofert, "Sampling exponentially
     tilted stable distributions", ACM TOMACS 22(1), 2011.  Kanter's draw
     is X^(-b), b = (1-beta)/beta, with X exponential at rate A(U) given U
-    uniform on (0, pi).  The inner test accepts U against a bound on its
-    tilted marginal; the outer one accepts X given U against a half-normal,
-    flat and exponential envelope around its mode m, reusing the inner
-    test's uniform as the exponential E.  With Y = X/m - 1 the draw is
+    uniform on (0, pi).  The inner test (``_accepted_u``) accepts U
+    against a table of its tilted marginal (``_u_envelope``), in place of
+    Devroye's half-normal, uniform and ``psi/sqrt(pi - u)`` mixture; the
+    outer one accepts X given U against a half-normal, flat and
+    exponential envelope around its mode m, reusing the inner test's
+    exponential as E.  With Y = X/m - 1 the draw is
     ``tau beta zeta^-2 (1+Y)^-b``, mean times a ratio near 1, and the
     tilt term is ``tau zeta^-2 ((1-beta) Y + beta ((1+Y)^-b - 1))``:
     neither carries a power 1/beta, which would cancel as beta -> 0.
     """
-    gam = tau * beta * (1.0 - beta)
-    sg = math.sqrt(gam)
-    c3 = (2.0 + _HALF_PI_ROOT) * sg
-    log_xi = math.log((1.0 + math.sqrt(2.0) * c3) / math.pi)
-    log_psi = math.log(c3 / math.sqrt(math.pi)) - gam * math.pi**2 / 8.0
-    # U's proposal: a half normal (gamma >= 1/(2 pi)) or a uniform, mixed
-    # with the density psi / sqrt(pi - u); weights xi sqrt(pi/(2 gamma)) or
-    # xi pi, and 2 psi sqrt(pi).  The half normal bounds U's marginal for
-    # every gamma, as tau (zeta^-2 - 1) >= gamma u^2 / 2: each term of the
-    # series of ln zeta^2 is negative, and the first is -beta (1-beta) u^2/2
-    normal_u = gam >= _HALF_NORMAL_GAMMA
-    log_first = log_xi + (math.log(_HALF_PI_ROOT / sg) if normal_u else math.log(math.pi))
-    p_first = 1.0 / (1.0 + math.exp(log_psi + math.log(2.0 * math.sqrt(math.pi)) - log_first))
-    v, w = rng.random(k), rng.random(k)
-    if normal_u:
-        u = np.where(v < p_first, np.abs(rng.standard_normal(k)) / sg, np.pi * (1.0 - w * w))
-    else:
-        u = np.pi * np.where(v < p_first, w, 1.0 - w * w)
-    log_w = np.log1p(-rng.random(k))
-    keep = u < np.pi
-    u, log_w = u[keep], log_w[keep]
-
-    lz = _log_zeta2(u, beta)
-    zeta_u = np.exp(0.5 * lz)
-    z = -1.0 / np.expm1(-np.log1p(beta * zeta_u / sg) / beta)
-    log_d = np.logaddexp(log_xi - (0.5 * gam * u * u if normal_u else 0.0),
-                         log_psi - 0.5 * np.log(np.pi - u))
-    with np.errstate(over="ignore"):
-        log_rho = (math.log(math.pi) + tau * np.expm1(-lz) + log_d
-                   - np.log((1.0 + _HALF_PI_ROOT) * sg / zeta_u + z))
-    e = -(log_w + log_rho)
-    keep = e >= 0.0
-    lz, zeta_u, z, e = lz[keep], zeta_u[keep], z[keep], e[keep]
+    lz, zeta_u, z, e = _accepted_u(tau, beta, k, rng)
+    sg = math.sqrt(tau * beta * (1.0 - beta))
 
     # X's envelope in Y: half normal of width delta/m left of 0, flat on
     # [0, delta/m], exponential of mean a3/m beyond; masses c1 : 1 : z zeta/sg

@@ -128,10 +128,10 @@ class TestTiltedStableSampler:
     def test_laplace_transform_and_mean(self, rng, tau, beta):
         _check_laplace_transform_and_mean(rng, tau, beta)
 
-    # gamma = tau beta (1 - beta) in [1/(2 pi), 1), where U's proposal is
-    # the half normal, and either side of its ends: 1/(2 pi) is at tau
-    # 3.35 for beta = 0.05 (for beta = 0.4 it is at tau 0.66, on Kanter's
-    # side), and 1 at tau 4.17 for beta = 0.4
+    # gamma = tau beta (1 - beta) in [1/(2 pi), 1), where U's proposal was
+    # a half normal before the tabulated envelope, and either side of its
+    # ends: 1/(2 pi) is at tau 3.35 for beta = 0.05 (for beta = 0.4 it is
+    # at tau 0.66, on Kanter's side), and 1 at tau 4.17 for beta = 0.4
     @pytest.mark.parametrize("tau, beta", [(2.5, 0.2), (4.5, 0.2), (2.5, 0.8), (4.5, 0.8),
                                            (3.2, 0.05), (3.5, 0.05), (4.0, 0.4), (4.4, 0.4)])
     def test_half_normal_band(self, rng, tau, beta):
@@ -163,6 +163,22 @@ class TestTiltedStableSampler:
         assert x.size == 1000
         assert len(sizes) <= 6 and max(sizes) <= 1000
 
+    @pytest.mark.parametrize("tau, beta", [(2.5, 0.2), (2.5, 0.8), (6.0, 0.2), (6.0, 0.8)])
+    def test_inner_test_passes_most_candidates(self, rng, monkeypatch, tau, beta):
+        counts = []
+        plain_inner = simulate._accepted_u
+
+        def counting_inner(tau, beta, k, rng):
+            kept = plain_inner(tau, beta, k, rng)
+            counts.append((k, kept[0].size))
+            return kept
+
+        monkeypatch.setattr(simulate, "_accepted_u", counting_inner)
+        leg = OneSidedParams(tau * beta / G(1.0 - beta), beta, 1.0)
+        ts.sample_one_sided(leg, 1.0, rng, size=100_000)
+        tried, passed = map(sum, zip(*counts))
+        assert passed >= 0.9 * tried
+
     @pytest.mark.parametrize("tau", [130.0, 1e4])
     def test_memory_is_bounded_by_the_block(self, rng, tau):
         leg = OneSidedParams(tau * 0.4 / G(0.6), 0.4, 1.0)
@@ -174,6 +190,26 @@ class TestTiltedStableSampler:
             tracemalloc.stop()
         assert x.size == 1_000_000
         assert peak < 64 * 2**20
+
+
+@pytest.mark.parametrize("tau", [2.001, 2.5, 4.0, 10.0, 130.0, 1e4, 1e10])
+@pytest.mark.parametrize("beta", [1e-9, 0.05, 0.4, 0.8, 0.999])
+def test_u_envelope_dominates_the_marginal(tau, beta):
+    sg = math.sqrt(tau * beta * (1.0 - beta))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cum, lo, width, log_h = simulate._u_envelope(tau, beta)
+        assert lo[0] == 0.0 and lo[-1] + width[-1] == math.pi
+        assert np.all(width > 0.0) and cum[-1] == 1.0
+        # 65 points on each piece, both ends included
+        u = (lo[:, None] + np.linspace(0.0, 1.0, 65) * width[:, None]).ravel()
+        log_g = simulate._u_marginal(u, tau, beta, sg)[3]
+        assert np.all(np.repeat(log_h, 65) >= log_g)
+        assert np.all(np.diff(log_g) <= 0.0)
+        # the last piece runs to pi, where A is unbounded: approach it geometrically
+        u = math.pi - width[-1] * 0.5 ** np.arange(1.0, 32.0)
+        log_g = simulate._u_marginal(u, tau, beta, sg)[3]
+        assert np.all(log_h[-1] >= log_g) and np.all(np.diff(log_g) <= 0.0)
 
 
 def _log_uniform(lo, hi):
