@@ -51,6 +51,15 @@ def _emit(obj) -> None:
     click.echo(json.dumps(_plain(obj), indent=2))
 
 
+def _csv(header: str, *columns) -> str:
+    """CSV text of a header line and equal-length float columns, with 17
+    significant digits, formatted in one % pass: Python floats format
+    faster than numpy scalars."""
+    rows = np.column_stack(columns).ravel().tolist()
+    line = ",".join(["%.17g"] * len(columns)) + "\n"
+    return f"{header}\n" + line * len(columns[0]) % tuple(rows)
+
+
 def _progress(ctx, message: str) -> None:
     if not ctx.obj.get("quiet", False):
         click.echo(message, err=True)
@@ -100,9 +109,7 @@ def density(ctx, params_path, nodes, extent_sd, tilt, out_path):
     ev = _density.DensityEvaluator(p, settings)
     grid = ev.grid()
     x, cdf_vals = ev.cdf_grid()
-    # one % pass over all rows; Python floats format faster than numpy scalars
-    rows = np.column_stack((x, grid.pdf, cdf_vals)).ravel().tolist()
-    text = "x,pdf,cdf\n" + "%.17g,%.17g,%.17g\n" * len(x) % tuple(rows)
+    text = _csv("x,pdf,cdf", x, grid.pdf, cdf_vals)
     if out_path is None:
         click.echo(text, nl=False)
     else:
@@ -130,14 +137,10 @@ def simulate(ctx, params_path, horizon, step, seed, paths, jump_floor, out_dir):
         cfg = _simulate.PathConfig(horizon=horizon, step=step,
                                    seed=path_seed, jump_floor=jump_floor)
         path = _simulate.simulate_path(p, cfg)
-        rows = ["t,x"]
-        rows += [f"{t:.17g},{x:.17g}" for t, x in zip(path.times, path.values)]
-        (out / f"path_{i:04d}.csv").write_text("\n".join(rows) + "\n")
+        (out / f"path_{i:04d}.csv").write_text(_csv("t,x", path.times, path.values))
         if jump_floor > 0.0:
-            jrows = ["t,size"]
-            jrows += [f"{t:.17g},{s:.17g}"
-                      for t, s in zip(path.jump_times, path.jump_sizes)]
-            (out / f"jumps_{i:04d}.csv").write_text("\n".join(jrows) + "\n")
+            (out / f"jumps_{i:04d}.csv").write_text(
+                _csv("t,size", path.jump_times, path.jump_sizes))
         _progress(ctx, f"path {i}: {len(path.times)} points, "
                        f"{len(path.jump_times)} recorded jumps")
 

@@ -9,7 +9,10 @@ proposal S (Kanter's representation) kept with probability e^(-lam S),
 which is e^(-tau) >= e^-2 on average, and above that it is Devroye's
 double rejection, whose inner test proposes Kanter's angle U from a
 table of bounds on its tilted marginal, built once per tilt and beta;
-two thirds or more of its candidates become draws.
+two thirds or more of its candidates become draws.  Both, and the jump
+sizes of a floored path, fill their draws through one rejection loop
+whose rounds are sized by the acceptance seen so far; one-sided draws
+are made in blocks, so their temporaries stay O(block) in size.
 Paths are sums of per-step increments; when a jump record is requested,
 jumps above the floor come from an exact compound-Poisson layer and the
 sub-floor remainder is folded into a moment-matched Gamma increment per
@@ -30,8 +33,8 @@ from .errors import ConvergenceError, DomainError
 from .params import OneSidedParams, TemperedStableParams
 
 _MAX_REJECTION_ROUNDS = 1000
-#: largest tilt drawn by one tilted Kanter proposal; Devroye's double
-#: rejection costs less per draw from a tilt of about 2.5 (2-CPU x86-64)
+#: largest tilt drawn by one tilted Kanter proposal, though Devroye's
+#: double rejection costs no more per draw from about 1.5 (2-CPU x86-64)
 _KANTER_MAX_TILT = 2.0
 #: draws made per pass, so that the temporaries stay O(block) in size
 _BLOCK = 1 << 16
@@ -105,21 +108,33 @@ def _kanter_stable(c: float, beta: float, n: int, rng) -> np.ndarray:
         return np.exp(log_s)
 
 
-def _tempered_stable_fill(c: float, beta: float, lam: float, n: int, rng) -> np.ndarray:
-    """n accepted draws of the lam-tilted stable law with scale c."""
+def _kanter_round(c: float, beta: float, lam: float, k: int, rng) -> np.ndarray:
+    """The accepted ones of k stable draws with scale c, each kept with
+    probability e^(-lam S): draws of the lam-tilted law."""
+    s = _kanter_stable(c, beta, k, rng)
+    with np.errstate(over="ignore"):
+        return s[rng.uniform(0.0, 1.0, k) < np.exp(-lam * s)]
+
+
+def _rejection_fill(propose, n: int, what: str) -> np.ndarray:
+    """n draws by rejection, where ``propose(k)`` returns the accepted ones
+    of k iid candidates.  The first round tries n candidates; each later
+    one tries enough, by the acceptance seen so far, to fill the pending
+    slots with a 5% margin, but never more than n.  The accepted draws are
+    iid and their order does not depend on their values, so keeping the
+    first ones that fit is exact.  ``what`` names the sampler in the
+    ``ConvergenceError`` raised after ``_MAX_REJECTION_ROUNDS`` rounds."""
     out = np.empty(n)
-    pending = np.arange(n)
+    done = tried = 0
     for _ in range(_MAX_REJECTION_ROUNDS):
-        if pending.size == 0:
+        if done == n:
             return out
-        s = _kanter_stable(c, beta, pending.size, rng)
-        with np.errstate(over="ignore"):
-            acc = rng.uniform(0.0, 1.0, pending.size) < np.exp(-lam * s)
-        out[pending[acc]] = s[acc]
-        pending = pending[~acc]
-    raise ConvergenceError(
-        f"tilting rejection did not terminate (beta={beta}, lambda={lam})"
-    )
+        k = min(n, math.ceil((n - done) * (tried + 1) / (done + 1) * 1.05) + 1)
+        got = propose(k)[:n - done]
+        out[done:done + got.size] = got
+        done += got.size
+        tried += k
+    raise ConvergenceError(f"{what} did not terminate in {_MAX_REJECTION_ROUNDS} rounds")
 
 
 @functools.lru_cache(maxsize=64)
@@ -250,33 +265,14 @@ def _double_rejection_round(tau: float, beta: float, k: int, rng) -> np.ndarray:
     return tau * beta * np.exp(-b * log_x[acc] - lz[acc])
 
 
-def _double_rejection(tau: float, beta: float, n: int, rng) -> np.ndarray:
-    """n draws of ``_double_rejection_round``'s law.  The first round tries
-    n candidates; each later one tries enough, by the acceptance seen so
-    far, to fill the pending slots with a 5% margin, but never more than n.
-    The accepted draws are iid and their order does not depend on their
-    values, so keeping the first ones that fit is exact."""
-    out = np.empty(n)
-    done = tried = 0
-    for _ in range(_MAX_REJECTION_ROUNDS):
-        if done == n:
-            return out
-        k = min(n, math.ceil((n - done) * (tried + 1) / (done + 1) * 1.05) + 1)
-        got = _double_rejection_round(tau, beta, k, rng)[:n - done]
-        out[done:done + got.size] = got
-        done += got.size
-        tried += k
-    raise ConvergenceError(f"double rejection did not terminate (tilt {tau:.3g}, beta={beta})")
-
-
 def sample_one_sided(p: OneSidedParams, t: float, rng, size=None):
     """Exact draw(s) of the one-sided law at time t.
 
     Gamma case beta = 0 delegates to the Gamma sampler.  For beta > 0 a
     draw is one tilted Kanter proposal when the tilt ``tau = c lam^beta``
-    is at most ``_KANTER_MAX_TILT``, and Devroye's double rejection, in
-    blocks of ``_BLOCK`` draws, above it; the law of ``lam X`` depends on
-    tau and beta only.  Draws whose mean or tilt leaves the float range
+    is at most ``_KANTER_MAX_TILT``, and Devroye's double rejection above
+    it, either one in blocks of ``_BLOCK`` draws; the law of ``lam X``
+    depends on tau and beta only.  Draws whose mean or tilt leaves the float range
     are a ``DomainError``.  ``size=None`` returns a scalar.
     """
     if not (0.0 < t < math.inf):
@@ -299,12 +295,14 @@ def sample_one_sided(p: OneSidedParams, t: float, rng, size=None):
         return float(draws[0]) if size is None else draws
 
     if tau <= _KANTER_MAX_TILT:
-        out = _tempered_stable_fill(c, beta, lam, n, rng)
+        what, propose = "tilted Kanter rejection", lambda k: _kanter_round(c, beta, lam, k, rng)
     else:
-        out = np.empty(n)
-        for i in range(0, n, _BLOCK):
-            k = min(_BLOCK, n - i)
-            out[i:i + k] = _double_rejection(tau, beta, k, rng) / lam
+        what, propose = "double rejection", lambda k: _double_rejection_round(tau, beta, k, rng) / lam
+    what += f" (tilt {tau:.3g}, beta={beta})"
+    out = np.empty(n)
+    for i in range(0, n, _BLOCK):
+        k = min(_BLOCK, n - i)
+        out[i:i + k] = _rejection_fill(propose, k, what)
     return float(out[0]) if size is None else out
 
 
@@ -356,12 +354,7 @@ def _sample_jump_sizes(p: OneSidedParams, floor: float, n: int, rng) -> np.ndarr
         )
     p1 = w1 / (w1 + w2)
 
-    out = np.empty(n)
-    pending = np.arange(n)
-    for _ in range(_MAX_REJECTION_ROUNDS):
-        if pending.size == 0:
-            return out
-        k = pending.size
+    def propose(k):
         use1 = rng.uniform(0.0, 1.0, k) < p1
         x = np.empty(k)
         v = rng.uniform(0.0, 1.0, k)
@@ -373,10 +366,9 @@ def _sample_jump_sizes(p: OneSidedParams, floor: float, n: int, rng) -> np.ndarr
         ratio = np.empty(k)
         ratio[use1] = np.exp(-lam * (x[use1] - floor))
         ratio[~use1] = (x[~use1] / split) ** (-1.0 - b)
-        acc = rng.uniform(0.0, 1.0, k) < ratio
-        out[pending[acc]] = x[acc]
-        pending = pending[~acc]
-    raise ConvergenceError("jump-size rejection did not terminate")
+        return x[rng.uniform(0.0, 1.0, k) < ratio]
+
+    return _rejection_fill(propose, n, "jump-size rejection")
 
 
 def _leg_increments_with_jumps(p: OneSidedParams, cfg: PathConfig, lam_tot: float, rng):

@@ -222,20 +222,25 @@ class TestFitTwoSided:
         assert fit.residual < 1e-12
 
     def test_consistency_trend(self):
-        # Demonstrates the large-sample behaviour at a fixed seed set:
-        # the cumulant mismatch of the fitted law shrinks with n, and the
-        # parameter error at the largest sample beats the smallest.  The
-        # middle sample sizes fluctuate too much at desk scale for a
-        # per-step parameter-error assertion.
+        # The fitted law's cumulant errors shrink like 1/sqrt(n).  Order r's
+        # error is scaled by sqrt(kappa_2r), the leading term of sqrt(n)
+        # times its sample cumulant's standard deviation, so that each
+        # order weighs alike.  From n = 1e4 to 1e6 the median over five
+        # seeds of the largest scaled error must fall by a factor 5 (1/10
+        # expected); at 1e6, where the fits converge, it must stay within 4
+        # standard deviations, which a 2% bias in every draw (9 standard
+        # deviations on kappa_2) breaks.  The parameter error at the
+        # largest sample beats the smallest.
         theta_true = np.array([0.15, 0.4, 0.8, 0.1, 0.5, 1.0])
         p_true = TemperedStableParams.create(*theta_true)
         init = TemperedStableParams.create(
             *(theta_true * np.array([1.1, 0.9, 1.1, 0.9, 1.1, 0.9]))
         )
         kap_true = population_kappa(theta_true)
-        scale = np.maximum(np.abs(kap_true), kap_true[1] ** (np.arange(1, 7) / 2.0))
+        sd = np.sqrt([one_sided_kappa(p_true.plus, 2 * r) + one_sided_kappa(p_true.minus, 2 * r)
+                      for r in range(1, 7)])
         kappa_err, param_err = [], []
-        for n in (10_000, 100_000, 1_000_000):
+        for n in (10_000, 1_000_000):
             k_errs, p_errs = [], []
             for seed in range(1, 6):
                 gen = np.random.default_rng(seed)
@@ -243,13 +248,13 @@ class TestFitTwoSided:
                      - ts.sample_one_sided(p_true.minus, 1.0, gen, size=n))
                 fit = ts.fit_two_sided(ts.sample_cumulants(x), init)
                 theta_hat = np.array(fit.params.as_tuple())
-                k_errs.append(np.max(np.abs(population_kappa(theta_hat) - kap_true) / scale))
+                k_errs.append(np.max(np.abs(population_kappa(theta_hat) - kap_true) / sd))
                 p_errs.append(np.max(np.abs(theta_hat - theta_true) / theta_true))
             kappa_err.append(float(np.median(k_errs)))
             param_err.append(float(np.median(p_errs)))
-        assert kappa_err[0] >= kappa_err[1] >= kappa_err[2]
-        assert kappa_err[2] < 0.2 * kappa_err[0]
-        assert param_err[2] < param_err[0]
+        assert kappa_err[1] < 0.2 * kappa_err[0]
+        assert kappa_err[1] < 4.0 / math.sqrt(1_000_000)
+        assert param_err[1] < param_err[0]
 
 
 class TestPathEstimators:

@@ -179,7 +179,8 @@ class TestTiltedStableSampler:
         tried, passed = map(sum, zip(*counts))
         assert passed >= 0.9 * tried
 
-    @pytest.mark.parametrize("tau", [130.0, 1e4])
+    # Kanter's branch below the switch, the double rejection above it
+    @pytest.mark.parametrize("tau", [0.35, 1.9, 130.0, 1e4])
     def test_memory_is_bounded_by_the_block(self, rng, tau):
         leg = OneSidedParams(tau * 0.4 / G(0.6), 0.4, 1.0)
         tracemalloc.start()
@@ -189,7 +190,23 @@ class TestTiltedStableSampler:
         finally:
             tracemalloc.stop()
         assert x.size == 1_000_000
-        assert peak < 64 * 2**20
+        assert peak < 32 * 2**20
+
+
+@pytest.mark.parametrize("draw, sampler", [
+    # the upward leg's tilt is 0.6 at t = 0.1 and 6 at t = 1
+    (lambda rng, law: ts.sample_one_sided(law.plus, 0.1, rng, size=10), "tilted Kanter rejection"),
+    (lambda rng, law: ts.sample_one_sided(law.plus, 1.0, rng, size=10), "double rejection"),
+    (lambda rng, law: ts.simulate_path(law, PathConfig(horizon=5.0, step=0.1, seed=1,
+                                                       jump_floor=1e-3)), "jump-size rejection"),
+], ids=["kanter", "double_rejection", "jump_sizes"])
+def test_proposal_that_never_accepts_is_convergence_error(rng, monkeypatch, skewed, draw, sampler):
+    # every sampler's candidates pass through the one loop; reject them all
+    fill = simulate._rejection_fill
+    monkeypatch.setattr(simulate, "_rejection_fill",
+                        lambda propose, n, what: fill(lambda k: propose(k)[:0], n, what))
+    with pytest.raises(ts.ConvergenceError, match=f"^{sampler} .*did not terminate"):
+        draw(rng, skewed)
 
 
 @pytest.mark.parametrize("tau", [2.001, 2.5, 4.0, 10.0, 130.0, 1e4, 1e10])
