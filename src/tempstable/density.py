@@ -38,7 +38,7 @@ from .params import OneSidedParams, TemperedStableParams
 class InversionSettings:
     """Controls for the frequency-domain inversion.
 
-    nodes      minimum number of frequency nodes (power of two)
+    nodes      minimum node count, any n >= 1; the planner's own count is a power of two
     extent_sd  half-width of the x window, in population std units
     tilt       exponential damping parameter, inside (-lambda-, lambda+)
     cf_floor   required characteristic-function magnitude at the
@@ -93,18 +93,11 @@ class DensityEvaluator:
 
     def __init__(self, p: TemperedStableParams, settings: InversionSettings | None = None):
         self.params = p
-        self.settings = settings or InversionSettings()
-        s = self.settings
-        if not (-p.minus.lam < s.tilt < p.plus.lam):
-            raise DomainError(
-                f"tilt must lie in ({-p.minus.lam}, {p.plus.lam}), got {s.tilt}"
-            )
-        self._tilted = (
-            p if s.tilt == 0.0 else bilateral_esscher(p, EsscherPair(s.tilt, -s.tilt))
-        )
-        self._log_norm = 0.0 if s.tilt == 0.0 else cgf(p, s.tilt)
-        self._mu = mean(p)
-        self._sigma = std(p)
+        s = self.settings = settings or InversionSettings()
+        # tilt 0 is the identity; bilateral_esscher refuses one outside (-lambda-, lambda+)
+        self._tilted = bilateral_esscher(p, EsscherPair(s.tilt, -s.tilt))
+        self._log_norm = cgf(p, s.tilt)
+        self._mu, self._sigma = mean(p), std(p)
         self._grid = None
         self._cdf_table = None
         self._plan()
@@ -113,15 +106,11 @@ class DensityEvaluator:
 
     def _plan(self) -> None:
         s = self.settings
-        x_lo = self._mu - s.extent_sd * self._sigma
-        x_hi = self._mu + s.extent_sd * self._sigma
-        if s.tilt != 0.0:
-            # the window must also cover the tilted law, whose mass beyond
-            # the window would otherwise alias back into the tails
-            mu_t = mean(self._tilted)
-            sigma_t = std(self._tilted)
-            x_lo = min(x_lo, mu_t - s.extent_sd * sigma_t)
-            x_hi = max(x_hi, mu_t + s.extent_sd * sigma_t)
+        # the window covers the law and the tilted law, whose mass beyond
+        # the window would otherwise alias back into the tails
+        mu_t, sigma_t = mean(self._tilted), std(self._tilted)
+        x_lo = min(self._mu - s.extent_sd * self._sigma, mu_t - s.extent_sd * sigma_t)
+        x_hi = max(self._mu + s.extent_sd * self._sigma, mu_t + s.extent_sd * sigma_t)
         span = x_hi - x_lo
         dz = 2.0 * math.pi / span
 
@@ -142,6 +131,10 @@ class DensityEvaluator:
                 f"{n} nodes needed (cap {s.max_nodes}); raise max_nodes, "
                 f"lower extent_sd from {s.extent_sd}, or relax cf_floor"
             )
+        # e^(cgf - tilt x) on the window, times a Fourier sum of at most n dz / pi
+        log_top = self._log_norm - min(s.tilt * x_lo, s.tilt * x_hi)
+        if log_top + max(math.log(n * dz / math.pi), 0.0) > 709.0:  # float max e^709.78
+            raise ConvergenceError(f"tilt {s.tilt} overflows the window; use a tilt nearer 0")
         self._x_lo = x_lo
         self._dx = span / n
         self._n = n
@@ -167,10 +160,7 @@ class DensityEvaluator:
     # -- evaluation -------------------------------------------------------
 
     def _tilt_factor(self, x):
-        s = self.settings
-        if s.tilt == 0.0:
-            return 1.0
-        return np.exp(self._log_norm - s.tilt * np.asarray(x))
+        return np.exp(self._log_norm - self.settings.tilt * x)
 
     def grid(self) -> DensityGrid:
         """Density on the planned uniform x grid, negatives clamped.  Built
@@ -180,8 +170,7 @@ class DensityEvaluator:
             return self._grid
         x = self._x_lo + np.arange(self._n) * self._dx
         shifted = self._phi * np.exp(-1j * self._z * self._x_lo)
-        raw = (self._dz / math.pi) * np.real(np.fft.fft(shifted))
-        raw = raw * self._tilt_factor(x)
+        raw = (self._dz / math.pi) * np.real(np.fft.fft(shifted)) * self._tilt_factor(x)
         clamped_mass = -float(np.sum(raw[raw < 0.0])) * self._dx
         pdf = np.maximum(raw, 0.0)
         if clamped_mass > 1e-3:
@@ -211,6 +200,8 @@ class DensityEvaluator:
         would repeat the density with period n dx; ``cdf`` is 0 or 1 there.
         """
         xs = np.atleast_1d(np.asarray(x, dtype=float))
+        if np.isnan(xs).any():
+            raise DomainError("density evaluated at a NaN point")
         out = np.zeros_like(xs)
         inside = np.flatnonzero((xs >= self._x_lo) & (xs < self._x_lo + self._n * self._dx))
         chunk = int(4e6) // sum(self._blocks.shape)
@@ -242,10 +233,13 @@ class DensityEvaluator:
         return g.x, np.clip(c, 0.0, 1.0)
 
     def cdf(self, x):
+        xs = np.asarray(x, dtype=float)
+        if np.isnan(xs).any():
+            raise DomainError("distribution function evaluated at a NaN point")
         if self._cdf_table is None:
             self._cdf_table = self.cdf_grid()
         xg, cg = self._cdf_table
-        out = np.interp(np.asarray(x, dtype=float), xg, cg, left=0.0, right=1.0)
+        out = np.interp(xs, xg, cg, left=0.0, right=1.0)
         return float(out) if np.ndim(x) == 0 else out
 
     def mode(self) -> float:
@@ -294,11 +288,9 @@ def mode_fixed_point(p: OneSidedParams) -> float:
 
 
 def _one_sided_bracket(p: OneSidedParams) -> ModeBracket:
-    if not (0.0 < p.beta < 1.0):
-        raise DomainError("mode bracket requires beta in (0, 1)")
+    xi0 = mode_fixed_point(p)  # refuses beta outside (0, 1)
     m1 = cumulant_one_sided(p, 1)
     v = cumulant_one_sided(p, 2)
-    xi0 = mode_fixed_point(p)
     lower = max(m1 - math.sqrt(3.0 * v), xi0)
     # (alpha / (1 - beta))^(1/beta) overflows for small beta; compare logs
     log_cap = (math.log(p.alpha) - math.log1p(-p.beta)) / p.beta

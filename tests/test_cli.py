@@ -117,6 +117,15 @@ def test_fit_rejects_nonpositive_max_iter(runner, tmp_path, params_file, max_ite
     assert "max_iter" in result.stderr
 
 
+@pytest.mark.parametrize("tilt", ["4.0", "-3.5"])  # lambda+ and -lambda- of the law
+def test_density_tilt_at_range_end_is_domain_error(runner, params_file, tilt):
+    result = runner.invoke(main, ["density", "--params", params_file, "--tilt", tilt])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert len(result.stderr.splitlines()) == 1
+    assert result.stderr.startswith("error PARAM_DOMAIN:")
+
+
 def test_density_tilt_flag_consistent_in_bulk(runner, params_file, tmp_path):
     # damping trades accuracy between the tails; in the bulk the tilted
     # and plain evaluations must agree

@@ -55,6 +55,47 @@ class TestSettings:
         with pytest.raises(DomainError):
             InversionSettings(**kwargs)
 
+    # README_LAW has lambda+ = 3 and lambda- = 4: the tilt range (-4, 3) is open
+    @pytest.mark.parametrize("tilt", [3.0, -4.0, 3.5, -10.0, math.nan, math.inf, -math.inf])
+    def test_tilt_outside_range_is_domain_error(self, tilt):
+        with pytest.raises(DomainError, match="tilts must satisfy"):
+            ts.DensityEvaluator(README_LAW, InversionSettings(tilt=tilt))
+
+    def test_tilt_factor_overflow_is_convergence_error(self):
+        # the tilted law's window reaches x = -220, where e^(cgf - tilt x)
+        # is about e^820, past the float range
+        law = TemperedStableParams.create(1.0, 0.0, 10.0, 100.0, 0.0, 1.0)
+        with pytest.raises(ConvergenceError, match="overflows the window"):
+            ts.DensityEvaluator(law, InversionSettings(tilt=5.0))
+
+    def test_nodes_need_not_be_a_power_of_two(self):
+        ev = ts.DensityEvaluator(README_LAW, InversionSettings(nodes=1000))
+        assert ev.grid().meta["nodes"] == ev.grid().x.size == 1000
+
+
+class TestPoints:
+    """A NaN point has no density or probability; the infinities keep
+    their limits, at tilt 0 and away from it."""
+
+    @pytest.mark.parametrize("x", [math.nan, [0.0, math.nan], np.array([math.nan, -math.inf])])
+    def test_nan_point_is_domain_error(self, x):
+        ev = ts.DensityEvaluator(README_LAW)
+        for call in (ev.pdf, ev.cdf, lambda x: ts.pdf(README_LAW, x),
+                     lambda x: ts.cdf(README_LAW, x)):
+            with pytest.raises(DomainError, match="NaN point"):
+                call(x)
+
+    @pytest.mark.parametrize("tilt", [0.0, 0.5])
+    def test_infinite_points_keep_their_limits(self, tilt):
+        settings = InversionSettings(tilt=tilt)
+        ev = ts.DensityEvaluator(README_LAW, settings)
+        assert ev.pdf(-math.inf) == ev.pdf(math.inf) == 0.0
+        assert (ev.cdf(-math.inf), ev.cdf(math.inf)) == (0.0, 1.0)
+        points = [-math.inf, 0.0, math.inf]
+        pdf, cdf = ts.pdf(README_LAW, points, settings), ts.cdf(README_LAW, points, settings)
+        assert pdf[0] == pdf[2] == 0.0 and pdf[1] > 0.0
+        assert cdf[0] == 0.0 and 0.0 < cdf[1] < 1.0 and cdf[2] == 1.0
+
 
 class TestPdf:
     def test_symmetric_density_is_even(self, sym_half):
