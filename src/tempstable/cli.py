@@ -98,15 +98,13 @@ def main(ctx, quiet):
 @click.option("--params", "params_path", required=True, type=click.Path(exists=True))
 @click.option("--nodes", default=2**14, show_default=True)
 @click.option("--extent-sd", default=12.0, show_default=True)
-@click.option("--tilt", default=0.0, show_default=True)
 @click.option("--out", "out_path", type=click.Path(), default=None,
               help="CSV destination (stdout when omitted)")
 @click.pass_context
-def density(ctx, params_path, nodes, extent_sd, tilt, out_path):
+def density(ctx, params_path, nodes, extent_sd, out_path):
     """Emit x,pdf,cdf on the inversion grid as CSV."""
     p = _load_two_sided(params_path)
-    settings = _density.InversionSettings(nodes=nodes, extent_sd=extent_sd, tilt=tilt)
-    ev = _density.DensityEvaluator(p, settings)
+    ev = _density.DensityEvaluator(p, _density.InversionSettings(nodes=nodes, extent_sd=extent_sd))
     grid = ev.grid()
     x, cdf_vals = ev.cdf_grid()
     text = _csv("x,pdf,cdf", x, grid.pdf, cdf_vals)

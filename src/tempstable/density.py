@@ -3,8 +3,8 @@ mode location from the inversion grid, analytic mode brackets, and the
 small-x / large-x asymptotics of the density.
 
 The laws here have no closed-form densities, but the characteristic
-function decays like a stretched exponential, so a single damped
-frequency grid recovers the density everywhere on a window of +-12
+function decays like a stretched exponential, so a single frequency
+grid recovers the density everywhere on a window of +-12
 population standard deviations.  The grid is planned adaptively: the
 frequency extent grows until the characteristic function is below a
 floor at the boundary, and the node count follows from the required
@@ -30,7 +30,6 @@ from .core import (
     std,
 )
 from .errors import ConvergenceError, DomainError
-from .measure import EsscherPair, bilateral_esscher
 from .params import OneSidedParams, TemperedStableParams
 
 
@@ -40,7 +39,6 @@ class InversionSettings:
 
     nodes      minimum node count, any n >= 1; the planner's own count is a power of two
     extent_sd  half-width of the x window, in population std units
-    tilt       exponential damping parameter, inside (-lambda-, lambda+)
     cf_floor   required characteristic-function magnitude at the
                frequency boundary
     max_nodes  hard cap before the plan gives up
@@ -48,7 +46,6 @@ class InversionSettings:
 
     nodes: int = 2**14
     extent_sd: float = 12.0
-    tilt: float = 0.0
     cf_floor: float = 1e-12
     max_nodes: int = 2**20
 
@@ -93,10 +90,7 @@ class DensityEvaluator:
 
     def __init__(self, p: TemperedStableParams, settings: InversionSettings | None = None):
         self.params = p
-        s = self.settings = settings or InversionSettings()
-        # tilt 0 is the identity; bilateral_esscher refuses one outside (-lambda-, lambda+)
-        self._tilted = bilateral_esscher(p, EsscherPair(s.tilt, -s.tilt))
-        self._log_norm = cgf(p, s.tilt)
+        self.settings = settings or InversionSettings()
         self._mu, self._sigma = mean(p), std(p)
         self._grid = None
         self._cdf_table = None
@@ -106,22 +100,18 @@ class DensityEvaluator:
 
     def _plan(self) -> None:
         s = self.settings
-        # the window covers the law and the tilted law, whose mass beyond
-        # the window would otherwise alias back into the tails
-        mu_t, sigma_t = mean(self._tilted), std(self._tilted)
-        x_lo = min(self._mu - s.extent_sd * self._sigma, mu_t - s.extent_sd * sigma_t)
-        x_hi = max(self._mu + s.extent_sd * self._sigma, mu_t + s.extent_sd * sigma_t)
-        span = x_hi - x_lo
+        x_lo = self._mu - s.extent_sd * self._sigma
+        span = (self._mu + s.extent_sd * self._sigma) - x_lo
         dz = 2.0 * math.pi / span
 
         # the first extent z_first 2^j, j = 0..80, where |phi| is below the floor
         z_first = max(16.0 / self._sigma, 4.0 * (self.params.plus.lam + self.params.minus.lam))
         z_try = z_first * 2.0 ** np.arange(81)
-        below = np.flatnonzero(log_cf(self._tilted, z_try).real < math.log(s.cf_floor))
+        below = np.flatnonzero(log_cf(self.params, z_try).real < math.log(s.cf_floor))
         if not below.size:
             raise ConvergenceError(
-                "characteristic function does not reach the floor "
-                f"{s.cf_floor}; increase cf_floor or use a tilt"
+                f"characteristic function does not reach the floor {s.cf_floor}; "
+                "increase cf_floor"
             )
         z_req = float(z_try[below[0]])
         n = max(s.nodes, 2 ** math.ceil(math.log2(z_req / dz)))
@@ -131,16 +121,12 @@ class DensityEvaluator:
                 f"{n} nodes needed (cap {s.max_nodes}); raise max_nodes, "
                 f"lower extent_sd from {s.extent_sd}, or relax cf_floor"
             )
-        # e^(cgf - tilt x) on the window, times a Fourier sum of at most n dz / pi
-        log_top = self._log_norm - min(s.tilt * x_lo, s.tilt * x_hi)
-        if log_top + max(math.log(n * dz / math.pi), 0.0) > 709.0:  # float max e^709.78
-            raise ConvergenceError(f"tilt {s.tilt} overflows the window; use a tilt nearer 0")
         self._x_lo = x_lo
         self._dx = span / n
         self._n = n
         self._dz = dz
         self._z = dz * np.arange(n)
-        phi = np.exp(log_cf(self._tilted, self._z))
+        phi = np.exp(log_cf(self.params, self._z))
         phi[0] *= 0.5  # half weight at the origin of the half-line rule
         self._phi = phi
         # |phi| decreases in |z| on every leg of the family (for beta in
@@ -159,9 +145,6 @@ class DensityEvaluator:
 
     # -- evaluation -------------------------------------------------------
 
-    def _tilt_factor(self, x):
-        return np.exp(self._log_norm - self.settings.tilt * x)
-
     def grid(self) -> DensityGrid:
         """Density on the planned uniform x grid, negatives clamped.  Built
         by one FFT on the first call and returned again after that, with
@@ -170,7 +153,7 @@ class DensityEvaluator:
             return self._grid
         x = self._x_lo + np.arange(self._n) * self._dx
         shifted = self._phi * np.exp(-1j * self._z * self._x_lo)
-        raw = (self._dz / math.pi) * np.real(np.fft.fft(shifted)) * self._tilt_factor(x)
+        raw = (self._dz / math.pi) * np.real(np.fft.fft(shifted))
         clamped_mass = -float(np.sum(raw[raw < 0.0])) * self._dx
         pdf = np.maximum(raw, 0.0)
         if clamped_mass > 1e-3:
@@ -187,7 +170,6 @@ class DensityEvaluator:
                 "nodes": self._n,
                 "dz": self._dz,
                 "extent": float(self._z[-1]),
-                "tilt": self.settings.tilt,
                 "clamped_mass": clamped_mass,
             },
         )
@@ -199,7 +181,8 @@ class DensityEvaluator:
         0 outside the window [x_lo, x_lo + n dx), where the Fourier sum
         would repeat the density with period n dx; ``cdf`` is 0 or 1 there.
         """
-        xs = np.atleast_1d(np.asarray(x, dtype=float))
+        shape = np.shape(x)
+        xs = np.asarray(x, dtype=float).ravel()
         if np.isnan(xs).any():
             raise DomainError("density evaluated at a NaN point")
         out = np.zeros_like(xs)
@@ -207,9 +190,9 @@ class DensityEvaluator:
         chunk = int(4e6) // sum(self._blocks.shape)
         for i in range(0, inside.size, chunk):
             idx = inside[i:i + chunk]
-            out[idx] = (self._dz / math.pi) * self._fourier_sum(xs[idx]) * self._tilt_factor(xs[idx])
-        out = np.maximum(out, 0.0)
-        return float(out[0]) if np.ndim(x) == 0 else out
+            out[idx] = (self._dz / math.pi) * self._fourier_sum(xs[idx])
+        out = np.maximum(out, 0.0).reshape(shape)
+        return float(out) if not shape else out
 
     def _fourier_sum(self, x: np.ndarray) -> np.ndarray:
         """Re sum_k phi_k e^(-i x k dz) over the support.  With node

@@ -58,6 +58,8 @@ def sample_cumulants(data) -> SampleCumulants:
         raise DomainError(
             f"need at least 7 observations, got {x.size}", code="TOO_FEW_OBS"
         )
+    if not np.isfinite(x).all():
+        raise DomainError(f"{x.size - np.isfinite(x).sum()} of {x.size} observations are not finite")
     k1 = np.mean(x)
     d = x - k1
     m2, m3, m4, m5, m6 = (np.mean(d**j) for j in range(2, 7))

@@ -52,6 +52,19 @@ def test_fit_too_few_observations(runner, tmp_path):
     assert "TOO_FEW_OBS" in result.output
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_fit_non_finite_observations_is_domain_error(runner, tmp_path, bad):
+    data = tmp_path / "obs.csv"
+    data.write_text("\n".join([*(str(v) for v in np.linspace(-1, 1, 20)), bad]) + "\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = runner.invoke(main, ["fit", str(data), "--multistart"])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.splitlines() == ["error PARAM_DOMAIN: 1 of 21 observations are not finite"]
+    assert caught == []
+
+
 def test_fit_requires_exactly_one_start_mode(runner, tmp_path):
     data = tmp_path / "obs.csv"
     data.write_text("\n".join(str(v) for v in np.linspace(-1, 1, 20)) + "\n")
@@ -115,36 +128,6 @@ def test_fit_rejects_nonpositive_max_iter(runner, tmp_path, params_file, max_ite
     result = runner.invoke(main, args + ([params_file] if start == "--init" else []))
     assert result.exit_code == 2
     assert "max_iter" in result.stderr
-
-
-@pytest.mark.parametrize("tilt", ["4.0", "-3.5"])  # lambda+ and -lambda- of the law
-def test_density_tilt_at_range_end_is_domain_error(runner, params_file, tilt):
-    result = runner.invoke(main, ["density", "--params", params_file, "--tilt", tilt])
-    assert result.exit_code == 2
-    assert result.stdout == ""
-    assert len(result.stderr.splitlines()) == 1
-    assert result.stderr.startswith("error PARAM_DOMAIN:")
-
-
-def test_density_tilt_flag_consistent_in_bulk(runner, params_file, tmp_path):
-    # damping trades accuracy between the tails; in the bulk the tilted
-    # and plain evaluations must agree
-    out_a, out_b = tmp_path / "a.csv", tmp_path / "b.csv"
-    base = ["density", "--params", params_file, "--nodes", "4096"]
-    assert runner.invoke(main, base + ["--out", str(out_a)]).exit_code == 0
-    assert runner.invoke(main, base + ["--tilt", "0.4", "--out", str(out_b)]).exit_code == 0
-    a = np.array([[float(t) for t in line.split(",")]
-                  for line in out_a.read_text().splitlines()[1:]])
-    b = np.array([[float(t) for t in line.split(",")]
-                  for line in out_b.read_text().splitlines()[1:]])
-    law = ts.load_params(params_file)
-    stats = ts.moment_stats(law)
-    bulk = np.abs(a[:, 0] - stats.mean) < 6.0 * np.sqrt(stats.variance)
-    pdf_b = np.interp(a[bulk, 0], b[:, 0], b[:, 1])
-    # the two files sit on different grids; linear interpolation across
-    # the sharp peak limits the agreement here (direct evaluation on a
-    # common grid agrees to 1e-9, see the density module tests)
-    assert np.max(np.abs(a[bulk, 1] - pdf_b)) < 1e-4
 
 
 def test_simulate_deterministic(runner, params_file, tmp_path):

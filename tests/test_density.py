@@ -34,14 +34,10 @@ def _direct_dft_pdf(p, settings, xs):
     """Reference pointwise density: the half-line DFT over every planned
     node, rebuilt from the grid's plan record and the public transform."""
     meta = ts.DensityEvaluator(p, settings).grid().meta
-    t = meta["tilt"]
-    tilted = p if t == 0.0 else ts.bilateral_esscher(p, ts.EsscherPair(t, -t))
     z = meta["dz"] * np.arange(meta["nodes"])
-    phi = ts.cf(tilted, z)
+    phi = ts.cf(p, z)
     phi[0] *= 0.5
     out = np.array([(meta["dz"] / math.pi) * np.real(np.exp(-1j * x * z) @ phi) for x in xs])
-    if t != 0.0:
-        out *= np.exp(ts.cgf(p, t) - t * xs)
     return np.maximum(out, 0.0)
 
 
@@ -55,19 +51,6 @@ class TestSettings:
         with pytest.raises(DomainError):
             InversionSettings(**kwargs)
 
-    # README_LAW has lambda+ = 3 and lambda- = 4: the tilt range (-4, 3) is open
-    @pytest.mark.parametrize("tilt", [3.0, -4.0, 3.5, -10.0, math.nan, math.inf, -math.inf])
-    def test_tilt_outside_range_is_domain_error(self, tilt):
-        with pytest.raises(DomainError, match="tilts must satisfy"):
-            ts.DensityEvaluator(README_LAW, InversionSettings(tilt=tilt))
-
-    def test_tilt_factor_overflow_is_convergence_error(self):
-        # the tilted law's window reaches x = -220, where e^(cgf - tilt x)
-        # is about e^820, past the float range
-        law = TemperedStableParams.create(1.0, 0.0, 10.0, 100.0, 0.0, 1.0)
-        with pytest.raises(ConvergenceError, match="overflows the window"):
-            ts.DensityEvaluator(law, InversionSettings(tilt=5.0))
-
     def test_nodes_need_not_be_a_power_of_two(self):
         ev = ts.DensityEvaluator(README_LAW, InversionSettings(nodes=1000))
         assert ev.grid().meta["nodes"] == ev.grid().x.size == 1000
@@ -75,7 +58,7 @@ class TestSettings:
 
 class TestPoints:
     """A NaN point has no density or probability; the infinities keep
-    their limits, at tilt 0 and away from it."""
+    their limits; an array of points keeps its shape."""
 
     @pytest.mark.parametrize("x", [math.nan, [0.0, math.nan], np.array([math.nan, -math.inf])])
     def test_nan_point_is_domain_error(self, x):
@@ -85,16 +68,25 @@ class TestPoints:
             with pytest.raises(DomainError, match="NaN point"):
                 call(x)
 
-    @pytest.mark.parametrize("tilt", [0.0, 0.5])
-    def test_infinite_points_keep_their_limits(self, tilt):
-        settings = InversionSettings(tilt=tilt)
-        ev = ts.DensityEvaluator(README_LAW, settings)
+    def test_infinite_points_keep_their_limits(self):
+        ev = ts.DensityEvaluator(README_LAW)
         assert ev.pdf(-math.inf) == ev.pdf(math.inf) == 0.0
         assert (ev.cdf(-math.inf), ev.cdf(math.inf)) == (0.0, 1.0)
         points = [-math.inf, 0.0, math.inf]
-        pdf, cdf = ts.pdf(README_LAW, points, settings), ts.cdf(README_LAW, points, settings)
+        pdf, cdf = ts.pdf(README_LAW, points), ts.cdf(README_LAW, points)
         assert pdf[0] == pdf[2] == 0.0 and pdf[1] > 0.0
         assert cdf[0] == 0.0 and 0.0 < cdf[1] < 1.0 and cdf[2] == 1.0
+
+    @pytest.mark.parametrize("shape", [(2, 2), (2, 3, 1)])
+    def test_array_points_keep_their_shape(self, shape):
+        ev = ts.DensityEvaluator(README_LAW)
+        # the last point lies outside the window, where pdf is 0
+        xs = np.append(np.linspace(-1.0, 1.0, math.prod(shape) - 1), 1e6).reshape(shape)
+        flat = ev.pdf(xs.ravel())
+        assert flat[-1] == 0.0 and np.all(flat[:-1] > 0.0)
+        for pdf in (ev.pdf(xs), ts.pdf(README_LAW, xs)):
+            assert pdf.shape == shape
+            np.testing.assert_array_equal(pdf.ravel(), flat)
 
 
 class TestPdf:
@@ -154,12 +146,6 @@ class TestPdf:
         with pytest.raises(ConvergenceError, match="max_nodes|cf_floor|extent_sd"):
             ts.DensityEvaluator(GAMMA_PROXY)
 
-    def test_tilted_evaluation_matches_untilted(self, skewed):
-        plain = ts.DensityEvaluator(skewed)
-        tilted = ts.DensityEvaluator(skewed, InversionSettings(tilt=0.5))
-        xs = np.linspace(-2.0, 2.0, 9)
-        assert np.max(np.abs(plain.pdf(xs) - tilted.pdf(xs))) < 1e-9
-
 
 class TestSupportTruncation:
     """Pointwise pdf sums only the nodes where phi is numerically
@@ -167,10 +153,9 @@ class TestSupportTruncation:
 
     @pytest.mark.parametrize("law, settings, truncated", [
         (README_LAW, None, True),
-        (README_LAW, InversionSettings(tilt=0.5), True),
         (SLOW_LAW, None, False),
         (GAMMA_PROXY, GAMMA_SETTINGS, False),
-    ], ids=["readme", "readme-tilted", "slow-decay", "gamma-leg"])
+    ], ids=["readme", "slow-decay", "gamma-leg"])
     def test_matches_full_direct_dft(self, law, settings, truncated):
         ev = ts.DensityEvaluator(law, settings)
         assert (ev._support < ev._n) == truncated
@@ -190,10 +175,9 @@ class TestFactoredSum:
 
     @pytest.mark.parametrize("law, settings", [
         (README_LAW, None),
-        (README_LAW, InversionSettings(tilt=0.5)),
         (SLOW_LAW, None),
         (GAMMA_PROXY, GAMMA_SETTINGS),
-    ], ids=["readme", "readme-tilted", "slow-decay", "near-gamma"])
+    ], ids=["readme", "slow-decay", "near-gamma"])
     def test_matches_direct_sum_to_rounding(self, law, settings):
         ev = ts.DensityEvaluator(law, settings)
         g = ev.grid()

@@ -31,6 +31,14 @@ class TestSampleCumulants:
             ts.sample_cumulants(np.arange(6))
         assert err.value.code == "TOO_FEW_OBS"
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_observations_are_domain_error(self, bad):
+        x = np.linspace(-1.0, 1.0, 20)
+        x[[3, 11]] = bad
+        with pytest.raises(DomainError, match="2 of 20 observations are not finite") as err:
+            ts.sample_cumulants(x)
+        assert err.value.code == "PARAM_DOMAIN"
+
     def test_standard_normal_synthetic(self, rng):
         n = 1_000_000
         k = ts.sample_cumulants(rng.standard_normal(n))

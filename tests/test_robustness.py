@@ -30,11 +30,6 @@ def _log_uniform(lo, hi):
 _LEG = st.tuples(_log_uniform(1e-6, 1e6),
                  st.one_of(st.just(0.0), _log_uniform(1e-9, 0.999)),
                  _log_uniform(1e-3, 1e3))
-# None: no density for this law; otherwise the tilt as a fraction of lambda+
-# (above 0) or of lambda- (below 0), with the identity tilt 0 drawn as often
-# as a tilt away from it
-_TILT_AT = st.one_of(st.none(), st.just(0.0),
-                     st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True))
 
 
 def _finite_or_typed(name, call):
@@ -47,8 +42,8 @@ def _finite_or_typed(name, call):
     assert all(math.isfinite(v) for v in values), (name, values)
 
 
-def _density_values(p, tilt):
-    ev = ts.DensityEvaluator(p, InversionSettings(tilt=tilt, max_nodes=2**16))
+def _density_values(p):
+    ev = ts.DensityEvaluator(p, InversionSettings(max_nodes=2**16))
     x_mode = ev.mode()
     g = ev.grid()
     xs = np.array([g.x[0], g.x[g.x.size // 2], g.x[-1], x_mode])
@@ -67,8 +62,8 @@ def _clt_values(mu, sigma2, legs):
 
 
 @settings(derandomize=True, max_examples=1000, deadline=None)
-@given(plus=_LEG, minus=_LEG, tilt_at=_TILT_AT)
-def test_public_functions_are_finite_or_typed(plus, minus, tilt_at):
+@given(plus=_LEG, minus=_LEG)
+def test_public_functions_are_finite_or_typed(plus, minus):
     p = TemperedStableParams.create(*plus, *minus)
     legs = (p.plus.beta, p.plus.lam, p.minus.beta, p.minus.lam)
     with warnings.catch_warnings(record=True) as caught:
@@ -86,8 +81,6 @@ def test_public_functions_are_finite_or_typed(plus, minus, tilt_at):
         for leg in (p.plus, p.minus):
             kappa = [cumulant_one_sided(leg, r) for r in (1, 2, 3)]
             _finite_or_typed("fit_one_sided", lambda: astuple(ts.fit_one_sided(kappa)))
-        if tilt_at is not None:
-            tilt = tilt_at * (p.plus.lam if tilt_at > 0.0 else p.minus.lam)
-            _finite_or_typed("DensityEvaluator", lambda: _density_values(p, tilt))
+        _finite_or_typed("DensityEvaluator", lambda: _density_values(p))
     for _ in caught:
         event("grid: clamped-mass warning")
