@@ -106,8 +106,14 @@ def cf(p: TemperedStableParams, z):
     return out
 
 
+def leg_cumulant(alpha: float, beta: float, lam: float, n):
+    """One leg's n-th cumulant, for integer or integer-array n and raw
+    rates; the caller checks the domain."""
+    return _gamma(n - beta) * alpha / lam ** (n - beta)
+
+
 def cumulant_one_sided(p: OneSidedParams, n: int) -> float:
-    return _gamma(n - p.beta) * p.alpha / p.lam ** (n - p.beta)
+    return leg_cumulant(p.alpha, p.beta, p.lam, n)
 
 
 def cumulant(p: TemperedStableParams, n: int) -> float:

@@ -4,11 +4,14 @@ small-x / large-x asymptotics of the density.
 
 The laws here have no closed-form densities, but the characteristic
 function decays like a stretched exponential, so a single frequency
-grid recovers the density everywhere on a window of +-12
-population standard deviations.  The grid is planned adaptively: the
-frequency extent grows until the characteristic function is below a
-floor at the boundary, and the node count follows from the required
-x-resolution.
+grid recovers the density on a window of +-12 population standard
+deviations, to an absolute error near 1e-16 of the peak in the bulk.
+Near the window's ends the other tail folds back through the Fourier
+sum's period: within +-11.9 sd the error reaches 3.2e-10 of the peak
+on the README law and 2.4e-8 on TS(1,.5,1; 1,.5,1).  The grid is
+planned adaptively: the frequency extent grows until the characteristic
+function is below a floor at the boundary, and the node count follows
+from the required x-resolution.
 """
 
 from __future__ import annotations

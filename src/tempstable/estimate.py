@@ -17,7 +17,7 @@ import numpy as np
 from scipy.optimize import root
 from scipy.special import digamma, gamma as _gamma, gammaln
 
-from .core import cumulant_one_sided, cumulant_vector
+from .core import leg_cumulant
 from .errors import ConvergenceError, DomainError, InfeasibleCumulantsError
 from .limits import alpha_pair_for_moments
 from .params import CumulantVector, OneSidedParams, TemperedStableParams
@@ -62,7 +62,9 @@ def sample_cumulants(data) -> SampleCumulants:
         raise DomainError(f"{x.size - np.isfinite(x).sum()} of {x.size} observations are not finite")
     k1 = np.mean(x)
     d = x - k1
-    m2, m3, m4, m5, m6 = (np.mean(d**j) for j in range(2, 7))
+    d2 = d * d
+    d3 = d2 * d  # products, not powers: a pow call per element costs 30x more
+    m2, m3, m4, m5, m6 = (np.mean(v) for v in (d2, d3, d2 * d2, d3 * d2, d3 * d3))
     k4 = m4 - 3 * m2**2
     k5 = m5 - 10 * m3 * m2
     k6 = m6 - 15 * m4 * m2 - 10 * m3**2 + 30 * m2**3
@@ -104,10 +106,12 @@ def fit_one_sided(k) -> OneSidedParams:
 
 
 _J = np.arange(1, 7)
+_SIGN = (-1.0) ** _J
 
 
 def _row_weights(theta) -> np.ndarray:
     # s_j = (l+)^(j-b+) (l-)^(j-b-), the lambda powers that clear G's denominators
+    TemperedStableParams.create(*theta)  # a typed error outside the domain
     _, bp, lp, _, bm, lm = theta
     return lp ** (_J - bp) * lm ** (_J - bm)
 
@@ -117,7 +121,14 @@ def two_sided_G(kappa, theta) -> np.ndarray:
     cumulant mismatch times the row weights,
     G_j = (kappa_j(theta) - kappa_hat_j) (l+)^(j-b+) (l-)^(j-b-),  j = 1..6.
     """
-    return (population_kappa(theta) - _kappa_of(kappa)[:6]) * _row_weights(theta)
+    return _row_weights(theta) * (population_kappa(theta) - _kappa_of(kappa)[:6])
+
+
+def _leg_kappas(theta) -> tuple:
+    # both legs' first six cumulants, the minus leg's signed; no records
+    # are built, so the caller checks the domain
+    ap, bp, lp, am, bm, lm = theta
+    return leg_cumulant(ap, bp, lp, _J), _SIGN * leg_cumulant(am, bm, lm, _J)
 
 
 def _mismatch_jacobian(kappa, theta) -> np.ndarray:
@@ -125,17 +136,13 @@ def _mismatch_jacobian(kappa, theta) -> np.ndarray:
     so that the Jacobian of G is s W at an arbitrary point.  Per leg,
     d kappa/d alpha = kappa/alpha, d kappa/d beta = kappa (ln lam - psi(j-beta))
     and d kappa/d lam = -(j-beta) kappa/lam."""
-    p = TemperedStableParams.create(*theta)
-    k_plus = cumulant_one_sided(p.plus, _J)
-    k_minus = (-1.0) ** _J * cumulant_one_sided(p.minus, _J)
+    k_plus, k_minus = _leg_kappas(theta)
     resid = k_plus + k_minus - _kappa_of(kappa)[:6]
     cols = []
-    for leg, k in ((p.plus, k_plus), (p.minus, k_minus)):
-        e, log_lam = _J - leg.beta, math.log(leg.lam)
-        cols += [k / leg.alpha,
-                 log_lam * (k - resid) - k * digamma(e),
-                 e * (resid - k) / leg.lam]
-    return np.column_stack(cols)
+    for (alpha, beta, lam), k in ((theta[:3], k_plus), (theta[3:], k_minus)):
+        e, log_lam = _J - beta, math.log(lam)
+        cols += [k / alpha, log_lam * (k - resid) - k * digamma(e), e * (resid - k) / lam]
+    return np.array(cols).T
 
 
 def two_sided_jacobian(kappa, theta) -> np.ndarray:
@@ -145,8 +152,9 @@ def two_sided_jacobian(kappa, theta) -> np.ndarray:
 
 
 def population_kappa(theta) -> np.ndarray:
-    """First six cumulants of the law with parameter vector ``theta``."""
-    return np.array(cumulant_vector(TemperedStableParams.create(*theta)).kappa)
+    """First six cumulants of the law with parameter vector ``theta``, which
+    the caller keeps inside the parameter domain."""
+    return np.add(*_leg_kappas(theta))
 
 
 def _to_unconstrained(theta) -> np.ndarray:
@@ -156,17 +164,12 @@ def _to_unconstrained(theta) -> np.ndarray:
                      math.log(am), logit(bm), math.log(lm)])
 
 
-def _from_unconstrained(u) -> np.ndarray:
-    u = np.clip(u, -_LOGIT_CLIP, _LOGIT_CLIP)
+def _from_unconstrained(u) -> tuple:
+    # the clip keeps theta inside the open domain, where every cumulant is finite
+    a_p, b_p, l_p, a_m, b_m, l_m = (min(max(v, -_LOGIT_CLIP), _LOGIT_CLIP) for v in u.tolist())
     expit = lambda v: 1.0 / (1.0 + math.exp(-v))
-    return np.array([math.exp(u[0]), expit(u[1]), math.exp(u[2]),
-                     math.exp(u[3]), expit(u[4]), math.exp(u[5])])
-
-
-def _coord_scale(theta) -> np.ndarray:
-    # d(theta)/d(u) for u = (ln a+, logit b+, ln l+, ln a-, logit b-, ln l-)
-    ap, bp, lp, am, bm, lm = theta
-    return np.array([ap, bp * (1.0 - bp), lp, am, bm * (1.0 - bm), lm])
+    return (math.exp(a_p), expit(b_p), math.exp(l_p),
+            math.exp(a_m), expit(b_m), math.exp(l_m))
 
 
 def _validate_init(init: TemperedStableParams) -> None:
@@ -190,11 +193,11 @@ def _validate_budget(tol: float, max_iter: int) -> None:
 
 def _scaled_system(kappa, scale):
     def fun(u):
-        theta = _from_unconstrained(u)
-        return (population_kappa(theta) - kappa) / scale
+        return (population_kappa(_from_unconstrained(u)) - kappa) / scale
 
     def jac(u):
-        theta = _from_unconstrained(u)
+        ap, bp, lp, am, bm, lm = theta = _from_unconstrained(u)
+        d_theta = np.array([ap, bp * (1.0 - bp), lp, am, bm * (1.0 - bm), lm])  # d theta/d u
         # W is G's Jacobian divided by the row weights s; against the
         # Jacobian of `fun` it carries the extra mismatch term
         # (kappa(theta) - kappa_hat) (x) d ln s, so it is exact only at a root
@@ -202,7 +205,7 @@ def _scaled_system(kappa, scale):
         # kept on purpose: from 410 starts perturbed by +-20% over 41 laws
         # hybr recovered 405 laws with it against 395 with the exact
         # cumulant Jacobian.
-        return _mismatch_jacobian(kappa, theta) / scale[:, None] * _coord_scale(theta)[None, :]
+        return _mismatch_jacobian(kappa, theta) / scale[:, None] * d_theta
 
     return fun, jac
 

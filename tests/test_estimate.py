@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from tempstable import (
     OneSidedParams,
     TemperedStableParams,
 )
+from tempstable import estimate
 from tempstable.estimate import population_kappa
 
 from conftest import moments_from_cumulants
@@ -54,6 +56,21 @@ class TestSampleCumulants:
         shifted = np.array(ts.sample_cumulants(x + 1e3).kappa_hat)
         assert shifted[0] == pytest.approx(base[0] + 1e3, abs=1e-9)
         assert np.allclose(shifted[1:], base[1:], rtol=0.0, atol=1e-9)
+
+    def test_matches_exact_rational_reference(self, rng):
+        # skewed, heavy-tailed data far from the origin: every float is an
+        # exact rational, so the mean, central moments and cumulants of the
+        # sample have an exact reference
+        x = 1e3 + rng.lognormal(0.0, 1.0, 200) - rng.standard_exponential(200)
+        xs = [Fraction(v) for v in x.tolist()]
+        mu = sum(xs) / len(xs)
+        m2, m3, m4, m5, m6 = (sum((v - mu) ** j for v in xs) / len(xs) for j in range(2, 7))
+        exact = [mu, m2, m3, m4 - 3 * m2**2, m5 - 10 * m3 * m2,
+                 m6 - 15 * m4 * m2 - 10 * m3**2 + 30 * m2**3]
+        got = ts.sample_cumulants(x).kappa_hat
+        for j in range(1, 7):
+            err = abs(float(Fraction(got[j - 1]) - exact[j - 1]))
+            assert err <= 1e-12 * max(abs(float(exact[j - 1])), float(m2) ** (j / 2)), j
 
     def test_moment_map_on_known_laws(self):
         # Exp(1): kappa_n = (n-1)! and raw moments m_n = n!
@@ -158,6 +175,48 @@ class TestTwoSidedSystem:
             worst = max(worst, float(np.max(np.abs(jac - fd) / row_scale)))
         assert worst < 1e-6
 
+    def test_solver_system_matches_record_path(self, rng):
+        # the solver's raw-float system is exactly the scaled mismatch of
+        # population_kappa, and population_kappa is the record-based
+        # cumulant up to the last bits of pow (Python's and numpy's round
+        # apart by up to 2 ulp of the legs' sum)
+        kappa_hat = population_kappa(np.array([1.0, 0.3, 3.0, 2.0, 0.6, 4.0]))
+        scale = np.maximum(np.abs(kappa_hat), kappa_hat[1] ** (np.arange(1, 7) / 2.0))
+        fun, _ = estimate._scaled_system(kappa_hat, scale)
+        for _ in range(200):
+            u = np.array([rng.uniform(-3.0, 2.0), rng.uniform(-4.0, 4.0), rng.uniform(-2.0, 2.0),
+                          rng.uniform(-3.0, 2.0), rng.uniform(-4.0, 4.0), rng.uniform(-2.0, 2.0)])
+            theta = estimate._from_unconstrained(u)
+            p = TemperedStableParams.create(*theta)
+            records = np.array([ts.cumulant(p, n) for n in range(1, 7)])
+            legs = np.array([one_sided_kappa(p.plus, n) + one_sided_kappa(p.minus, n)
+                             for n in range(1, 7)])
+            kappa = population_kappa(theta)
+            assert np.array_equal(fun(u), (kappa - kappa_hat) / scale)
+            assert np.all(np.abs(kappa - records) <= 2.0 * np.spacing(legs))
+            assert np.all(np.abs(fun(u) * scale + kappa_hat - records)
+                          <= 4.0 * np.spacing(np.maximum(legs, np.abs(kappa_hat))))
+
+    def test_solver_jacobian_at_root_against_finite_differences(self, rng):
+        worst = 0.0
+        for _ in range(20):
+            theta = np.array([
+                rng.uniform(0.3, 3.0), rng.uniform(0.05, 0.95), rng.uniform(0.3, 4.0),
+                rng.uniform(0.3, 3.0), rng.uniform(0.05, 0.95), rng.uniform(0.3, 4.0),
+            ])
+            kappa = population_kappa(theta)
+            scale = np.maximum(np.abs(kappa), kappa[1] ** (np.arange(1, 7) / 2.0))
+            fun, jac = estimate._scaled_system(kappa, scale)
+            u = estimate._to_unconstrained(theta)
+            fd = np.empty((6, 6))
+            for i in range(6):
+                step = np.zeros(6)
+                step[i] = 1e-6
+                fd[:, i] = (fun(u + step) - fun(u - step)) / 2e-6
+            row_scale = np.max(np.abs(fd), axis=1, keepdims=True)
+            worst = max(worst, float(np.max(np.abs(jac(u) - fd) / row_scale)))
+        assert worst < 1e-6
+
     def test_jacobian_determinant_never_vanishes(self, rng):
         # the system matrix is nonsingular on the whole open domain; its
         # determinant keeps one sign (positive once the columns are
@@ -222,6 +281,29 @@ class TestFitTwoSided:
             ts.fit_two_sided(kappa, skewed, tol=tol)
         with pytest.raises(DomainError, match="tol"):
             ts.multistart_fit_two_sided(kappa, tol=tol)
+
+    def test_solver_builds_no_parameter_records(self, monkeypatch):
+        # the solve evaluates its system on raw floats: parameter records
+        # are built per start (its alphas, init and result), never per
+        # evaluation, so their count does not move with the evaluation cap
+        law = TemperedStableParams.create(0.1, 0.3, 3.0, 0.2, 0.6, 4.0)
+        path = ts.simulate_path(law, ts.PathConfig(1000.0, 0.1, 7))
+        kappa = ts.sample_cumulants(np.diff(path.values))
+        starts = len(estimate._default_starts(kappa))
+        built = [0]
+        post_init = OneSidedParams.__post_init__
+
+        def counting(self):
+            built[0] += 1
+            post_init(self)
+
+        monkeypatch.setattr(OneSidedParams, "__post_init__", counting)
+        counts = []
+        for max_iter in (5, 200):
+            built[0] = 0
+            ts.multistart_fit_two_sided(kappa, max_iter=max_iter)
+            counts.append(built[0])
+        assert counts[0] == counts[1] <= 10 * starts
 
     def test_multistart_recovers_population_root(self, skewed):
         kappa = population_kappa(np.array(skewed.as_tuple()))
