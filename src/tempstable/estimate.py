@@ -18,7 +18,7 @@ from scipy.optimize import root
 from scipy.special import digamma, gamma as _gamma, gammaln
 
 from .core import leg_cumulant
-from .errors import ConvergenceError, DomainError, InfeasibleCumulantsError
+from .errors import DomainError, InfeasibleCumulantsError
 from .limits import alpha_pair_for_moments
 from .params import CumulantVector, OneSidedParams, TemperedStableParams
 
@@ -62,6 +62,7 @@ def sample_cumulants(data) -> SampleCumulants:
         raise DomainError(f"{x.size - np.isfinite(x).sum()} of {x.size} observations are not finite")
     k1 = np.mean(x)
     d = x - k1
+    d -= np.mean(d)  # the rounded k1 is off by O(ulp of the offset); a second pass removes it
     d2 = d * d
     d3 = d2 * d  # products, not powers: a pow call per element costs 30x more
     m2, m3, m4, m5, m6 = (np.mean(v) for v in (d2, d3, d2 * d2, d3 * d2, d3 * d3))
@@ -182,13 +183,22 @@ def _validate_init(init: TemperedStableParams) -> None:
             )
 
 
-def _validate_budget(tol: float, max_iter: int) -> None:
+def _validate(k, tol: float, max_iter: int) -> np.ndarray:
+    """The six cumulants of ``k``, once both fits' inputs are checked."""
     # MINPACK reads a non-positive evaluation cap as "use the default"
     if not max_iter >= 1:
         raise DomainError(f"max_iter must be at least 1, got {max_iter}")
     # an infinite tol would call any fit converged, a nan or negative one none
     if not 0.0 < tol < math.inf:
         raise DomainError(f"tol must be positive and finite, got {tol}")
+    kappa = _kappa_of(k)
+    if kappa.size != 6:
+        raise DomainError("need exactly six cumulants")
+    if not (kappa[1] > 0.0 and kappa[3] > 0.0 and kappa[5] > 0.0):
+        raise InfeasibleCumulantsError(
+            "even sample cumulants must be positive for a six-parameter fit"
+        )
+    return kappa
 
 
 def _scaled_system(kappa, scale):
@@ -221,14 +231,7 @@ def fit_two_sided(k, init: TemperedStableParams,
     max(|kappa_j|, k2^(j/2)).  On failure the final iterate is returned
     with ``converged=False``.
     """
-    _validate_budget(tol, max_iter)
-    kappa = _kappa_of(k)
-    if kappa.size != 6:
-        raise DomainError("need exactly six cumulants")
-    if not (kappa[1] > 0.0 and kappa[3] > 0.0 and kappa[5] > 0.0):
-        raise InfeasibleCumulantsError(
-            "even sample cumulants must be positive for a six-parameter fit"
-        )
+    kappa = _validate(k, tol, max_iter)
     _validate_init(init)
     scale = np.maximum(np.abs(kappa), kappa[1] ** (np.arange(1, 7) / 2.0))
     fun, jac = _scaled_system(kappa, scale)
@@ -265,21 +268,11 @@ def _default_starts(kappa) -> list[TemperedStableParams]:
 
 
 def multistart_fit_two_sided(k, tol: float = 1e-12, max_iter: int = 200) -> FitResult:
-    """Run the solve from the default start set and keep the best
-    residual; ties break deterministically on start index."""
-    _validate_budget(tol, max_iter)
-    kappa = _kappa_of(k)
-    best = None
-    for start in _default_starts(kappa):
-        try:
-            res = fit_two_sided(kappa, start, tol=tol, max_iter=max_iter)
-        except (DomainError, ConvergenceError):
-            continue
-        if best is None or res.residual < best.residual:
-            best = res
-    if best is None:
-        raise ConvergenceError("all starting points failed")
-    return best
+    """Solve from each default start and keep the best residual, the first
+    of equal ones.  The input gets ``fit_two_sided``'s check, so no start fails."""
+    kappa = _validate(k, tol, max_iter)
+    return min((fit_two_sided(kappa, start, tol=tol, max_iter=max_iter)
+                for start in _default_starts(kappa)), key=lambda res: res.residual)
 
 
 # -- path-based estimators -----------------------------------------------------

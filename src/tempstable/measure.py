@@ -98,8 +98,8 @@ def density_process_log(p: TemperedStableParams, t: EsscherPair,
         raise DomainError("time must be positive")
     xp = np.asarray(x_plus, dtype=float)
     xm = np.asarray(x_minus, dtype=float)
-    if np.any(xp < 0.0) or np.any(xm < 0.0):
-        raise DomainError("subordinator components must be nonnegative")
+    if not (np.all((xp >= 0.0) & (xp < np.inf)) and np.all((xm >= 0.0) & (xm < np.inf))):
+        raise DomainError("subordinator components must be nonnegative and finite")
     log_norm_plus = cgf_one_sided(p.plus, t.theta_plus)
     log_norm_minus = cgf_one_sided(p.minus, t.theta_minus)
     out = (t.theta_plus * xp - log_norm_plus * time

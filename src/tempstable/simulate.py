@@ -11,8 +11,8 @@ double rejection, whose inner test proposes Kanter's angle U from a
 table of bounds on its tilted marginal, built once per tilt and beta;
 two thirds or more of its candidates become draws.  Both, and the jump
 sizes of a floored path, fill their draws through one rejection loop
-whose rounds are sized by the acceptance seen so far; one-sided draws
-are made in blocks, so their temporaries stay O(block) in size.
+whose rounds are sized by the acceptance seen so far; it makes every
+draw in blocks, so the temporaries stay O(block) in size.
 Paths are sums of per-step increments; when a jump record is requested,
 jumps above the floor come from an exact compound-Poisson layer and the
 sub-floor remainder is folded into a moment-matched Gamma increment per
@@ -85,11 +85,6 @@ class SamplePath:
     jump_sizes: np.ndarray  # signed: downward-leg jumps are negative
     jump_floor: float = 0.0
 
-    @property
-    def jumps(self):
-        """Jump record as (time, signed size) pairs."""
-        return list(zip(self.jump_times.tolist(), self.jump_sizes.tolist()))
-
 
 def _kanter_stable(c: float, beta: float, n: int, rng) -> np.ndarray:
     """Positive stable draws with Laplace transform exp(-c s^beta).
@@ -118,23 +113,28 @@ def _kanter_round(c: float, beta: float, lam: float, k: int, rng) -> np.ndarray:
 
 def _rejection_fill(propose, n: int, what: str) -> np.ndarray:
     """n draws by rejection, where ``propose(k)`` returns the accepted ones
-    of k iid candidates.  The first round tries n candidates; each later
-    one tries enough, by the acceptance seen so far, to fill the pending
-    slots with a 5% margin, but never more than n.  The accepted draws are
-    iid and their order does not depend on their values, so keeping the
-    first ones that fit is exact.  ``what`` names the sampler in the
-    ``ConvergenceError`` raised after ``_MAX_REJECTION_ROUNDS`` rounds."""
+    of k iid candidates, in blocks of ``_BLOCK`` slots.  A block's first
+    round tries one candidate per slot; each later one tries enough, by the
+    block's acceptance so far, to fill its pending slots with a 5% margin,
+    but never more than its size.  The accepted draws are iid and their
+    order does not depend on their values, so keeping the first ones that
+    fit is exact.  ``what`` names the sampler in the ``ConvergenceError``
+    raised when a block takes ``_MAX_REJECTION_ROUNDS`` rounds."""
     out = np.empty(n)
-    done = tried = 0
-    for _ in range(_MAX_REJECTION_ROUNDS):
-        if done == n:
-            return out
-        k = min(n, math.ceil((n - done) * (tried + 1) / (done + 1) * 1.05) + 1)
-        got = propose(k)[:n - done]
-        out[done:done + got.size] = got
-        done += got.size
-        tried += k
-    raise ConvergenceError(f"{what} did not terminate in {_MAX_REJECTION_ROUNDS} rounds")
+    for start in range(0, n, _BLOCK):
+        block = out[start:start + _BLOCK]
+        m, done, tried = block.size, 0, 0
+        for _ in range(_MAX_REJECTION_ROUNDS):
+            if done == m:
+                break
+            k = min(m, math.ceil((m - done) * (tried + 1) / (done + 1) * 1.05) + 1)
+            got = propose(k)[:m - done]
+            block[done:done + got.size] = got
+            done += got.size
+            tried += k
+        else:
+            raise ConvergenceError(f"{what} did not terminate in {_MAX_REJECTION_ROUNDS} rounds")
+    return out
 
 
 @functools.lru_cache(maxsize=64)
@@ -271,9 +271,9 @@ def sample_one_sided(p: OneSidedParams, t: float, rng, size=None):
     Gamma case beta = 0 delegates to the Gamma sampler.  For beta > 0 a
     draw is one tilted Kanter proposal when the tilt ``tau = c lam^beta``
     is at most ``_KANTER_MAX_TILT``, and Devroye's double rejection above
-    it, either one in blocks of ``_BLOCK`` draws; the law of ``lam X``
-    depends on tau and beta only.  Draws whose mean or tilt leaves the float range
-    are a ``DomainError``.  ``size=None`` returns a scalar.
+    it; the law of ``lam X`` depends on tau and beta only.  Draws whose
+    mean or tilt leaves the float range are a ``DomainError``.
+    ``size=None`` returns a scalar.
     """
     if not (0.0 < t < math.inf):
         raise DomainError(f"time must be positive and finite, got {t}")
@@ -298,31 +298,25 @@ def sample_one_sided(p: OneSidedParams, t: float, rng, size=None):
         what, propose = "tilted Kanter rejection", lambda k: _kanter_round(c, beta, lam, k, rng)
     else:
         what, propose = "double rejection", lambda k: _double_rejection_round(tau, beta, k, rng) / lam
-    what += f" (tilt {tau:.3g}, beta={beta})"
-    out = np.empty(n)
-    for i in range(0, n, _BLOCK):
-        k = min(_BLOCK, n - i)
-        out[i:i + k] = _rejection_fill(propose, k, what)
+    out = _rejection_fill(propose, n, what + f" (tilt {tau:.3g}, beta={beta})")
     return float(out[0]) if size is None else out
 
 
 # -- jump layer ---------------------------------------------------------------
 
 
-def _upper_gamma(a: float, x: float) -> float:
-    """Unnormalized upper incomplete Gamma for a > -1 (a may be negative)."""
-    if a > 0.0:
-        return _gamma(a) * gammaincc(a, x)
-    if a == 0.0:
-        return float(exp1(x))
-    return (_gamma(a + 1.0) * gammaincc(a + 1.0, x) - x**a * math.exp(-x)) / a
-
-
 def jump_intensity_above(p: OneSidedParams, floor: float) -> float:
-    """Total jump intensity of the leg above the floor (finite for floor > 0)."""
+    """Total jump intensity of the leg above the floor (finite for floor > 0):
+    alpha lam^beta Gamma(-beta, lam floor), the upper incomplete Gamma at
+    -beta in (-1, 0] taken from Gamma(1 - beta, x) by its recurrence."""
     if not (floor > 0.0):
         raise DomainError("floor must be positive")
-    return p.alpha * p.lam**p.beta * _upper_gamma(-p.beta, p.lam * floor)
+    b, x = p.beta, p.lam * floor
+    if b == 0.0:
+        upper = float(exp1(x))
+    else:
+        upper = (_gamma(1.0 - b) * gammaincc(1.0 - b, x) - x**-b * math.exp(-x)) / -b
+    return p.alpha * p.lam**b * upper
 
 
 def _subfloor_moments(p: OneSidedParams, floor: float) -> tuple[float, float]:

@@ -65,6 +65,29 @@ def test_fit_non_finite_observations_is_domain_error(runner, tmp_path, bad):
     assert caught == []
 
 
+@pytest.mark.parametrize("data", [np.full(50, 1.5), np.random.default_rng(0).uniform(size=1000)],
+                         ids=["constant", "uniform"])
+def test_fit_multistart_on_infeasible_data_exits_2(runner, tmp_path, data):
+    # a constant column has k2 = 0 and uniform draws have k4 < 0: no law fits
+    path = tmp_path / "obs.csv"
+    np.savetxt(path, data)
+    result = runner.invoke(main, ["fit", str(path), "--multistart"])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("error INFEASIBLE_CUMULANTS: ")
+
+
+def test_diagnose_at_the_normal_limit_exits_0(runner, tmp_path):
+    # far along the sequence the excess kurtosis rounds away to exactly 3
+    path = tmp_path / "clt.json"
+    ts.save_params(ts.clt_sequence(0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 10**18), path)
+    result = runner.invoke(main, ["diagnose", "--params", str(path), "--json"])
+    assert result.exit_code == 0
+    report = json.loads(result.stdout)
+    assert report["kurtosis"] == 3.0
+    assert 0.0 < report["berry_esseen_bound"] < 1e-7
+
+
 def test_fit_requires_exactly_one_start_mode(runner, tmp_path):
     data = tmp_path / "obs.csv"
     data.write_text("\n".join(str(v) for v in np.linspace(-1, 1, 20)) + "\n")

@@ -248,9 +248,13 @@ class TestMomentStats:
             with pytest.raises(DomainError, match="overflow"):
                 ts.moment_stats(TemperedStableParams.create(*law))
 
-    def test_kurtosis_check_wording(self):
-        with pytest.raises(DomainError, match="must exceed 3"):
-            ts.MomentStats(mean=0.0, variance=1.0, skewness=0.0, kurtosis=3.0)
+    def test_normal_limit_kurtosis_rounds_to_three(self):
+        # the excess kurtosis 3.75e-18 rounds away; the law is still valid
+        p = ts.clt_sequence(0.0, 1.0, 0.5, 1.0, 0.5, 1.0, 10**18)
+        stats = ts.moment_stats(p)
+        assert stats.kurtosis == 3.0
+        assert stats.variance == pytest.approx(1.0, rel=1e-15)
+        assert 0.0 < ts.berry_esseen_bound(p).bound < 1e-7
 
     def test_composition_identity(self, skewed):
         stats = ts.moment_stats(skewed)

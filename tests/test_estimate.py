@@ -61,16 +61,18 @@ class TestSampleCumulants:
         # skewed, heavy-tailed data far from the origin: every float is an
         # exact rational, so the mean, central moments and cumulants of the
         # sample have an exact reference
-        x = 1e3 + rng.lognormal(0.0, 1.0, 200) - rng.standard_exponential(200)
-        xs = [Fraction(v) for v in x.tolist()]
-        mu = sum(xs) / len(xs)
-        m2, m3, m4, m5, m6 = (sum((v - mu) ** j for v in xs) / len(xs) for j in range(2, 7))
-        exact = [mu, m2, m3, m4 - 3 * m2**2, m5 - 10 * m3 * m2,
-                 m6 - 15 * m4 * m2 - 10 * m3**2 + 30 * m2**3]
-        got = ts.sample_cumulants(x).kappa_hat
-        for j in range(1, 7):
-            err = abs(float(Fraction(got[j - 1]) - exact[j - 1]))
-            assert err <= 1e-12 * max(abs(float(exact[j - 1])), float(m2) ** (j / 2)), j
+        noise = rng.lognormal(0.0, 1.0, 200) - rng.standard_exponential(200)
+        for offset in (1e3, 1e6, 1e9):
+            x = offset + noise
+            xs = [Fraction(v) for v in x.tolist()]
+            mu = sum(xs) / len(xs)
+            m2, m3, m4, m5, m6 = (sum((v - mu) ** j for v in xs) / len(xs) for j in range(2, 7))
+            exact = [mu, m2, m3, m4 - 3 * m2**2, m5 - 10 * m3 * m2,
+                     m6 - 15 * m4 * m2 - 10 * m3**2 + 30 * m2**3]
+            got = ts.sample_cumulants(x).kappa_hat
+            for j in range(1, 7):
+                err = abs(float(Fraction(got[j - 1]) - exact[j - 1]))
+                assert err <= 1e-12 * max(abs(float(exact[j - 1])), float(m2) ** (j / 2)), (offset, j)
 
     def test_moment_map_on_known_laws(self):
         # Exp(1): kappa_n = (n-1)! and raw moments m_n = n!
@@ -263,8 +265,14 @@ class TestFitTwoSided:
             ts.fit_two_sided(kappa, TemperedStableParams.create(1.0, 0.0, 1.0, 1.0, 0.5, 1.0))
 
     def test_nonpositive_even_cumulants_rejected(self, skewed):
-        with pytest.raises(InfeasibleCumulantsError):
-            ts.fit_two_sided([0.1, -1.0, 0.0, 1.0, 0.0, 1.0], skewed)
+        # both fits make the one check, before any solve
+        for kappa in ([0.1, -1.0, 0.0, 1.0, 0.0, 1.0], [0.1, 0.0, 0.0, 1.0, 0.0, 1.0],
+                      [0.1, 1.0, 0.0, 0.0, 0.0, 1.0], [0.1, 1.0, 0.0, -1.0, 0.0, 1.0],
+                      [0.1, 1.0, 0.0, 1.0, 0.0, -1.0]):
+            with pytest.raises(InfeasibleCumulantsError):
+                ts.fit_two_sided(kappa, skewed)
+            with pytest.raises(InfeasibleCumulantsError, match="even sample cumulants"):
+                ts.multistart_fit_two_sided(kappa)
 
     @pytest.mark.parametrize("max_iter", [0, -1])
     def test_nonpositive_max_iter_rejected(self, skewed, max_iter):

@@ -132,6 +132,15 @@ class TestDensityProcess:
             se = np.std(weighted, ddof=1) / math.sqrt(n)
             assert abs(err) < 5.0 * se
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_components(self, skewed, bad):
+        # inf at a zero tilt would be 0 * inf = nan with a numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for xp, xm in ((bad, 1.0), (1.0, bad), (np.array([1.0, bad]), 1.0)):
+                with pytest.raises(DomainError, match="nonnegative and finite"):
+                    ts.density_process_log(skewed, EsscherPair(0.0, 0.1), xp, xm, 1.0)
+
     def test_rejects_negative_components(self, skewed):
         with pytest.raises(DomainError):
             ts.density_process_log(skewed, EsscherPair(0.1, 0.1), -1.0, 0.0, 1.0)

@@ -193,6 +193,19 @@ class TestTiltedStableSampler:
         assert peak < 32 * 2**20
 
 
+def test_jump_size_memory_is_bounded_by_the_block(rng):
+    # at the cap on recorded jumps the draws alone take 32 MiB
+    leg = OneSidedParams(0.8, 0.5, 1.2)
+    tracemalloc.start()
+    try:
+        x = simulate._sample_jump_sizes(leg, 1e-3, simulate._MAX_JUMPS, rng)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert x.size == simulate._MAX_JUMPS
+    assert peak < 64 * 2**20
+
+
 @pytest.mark.parametrize("draw, sampler", [
     # the upward leg's tilt is 0.6 at t = 0.1 and 6 at t = 1
     (lambda rng, law: ts.sample_one_sided(law.plus, 0.1, rng, size=10), "tilted Kanter rejection"),
