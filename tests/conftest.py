@@ -85,6 +85,12 @@ def carr_madan_call(p, s0, r, strike, maturity, nu):
     return s0 * np.exp(-a * k) / np.pi * total
 
 
+def csv_17g(header, *columns):
+    """CSV text with each value formatted by "%.17g" one at a time."""
+    return f"{header}\n" + "".join(",".join("%.17g" % v for v in row) + "\n"
+                                   for row in zip(*columns))
+
+
 def moments_from_cumulants(kappa):
     """Raw moments m1..m6 from cumulants k1..k6 (Bell-polynomial identities)."""
     k1, k2, k3, k4, k5, k6 = kappa

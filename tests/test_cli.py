@@ -6,7 +6,7 @@ import pytest
 from click.testing import CliRunner
 
 import tempstable as ts
-from conftest import EMPTY_CURVE_LAWS
+from conftest import EMPTY_CURVE_LAWS, csv_17g
 from tempstable import ConvergenceError, TempStableError
 from tempstable.cli import main
 
@@ -161,6 +161,22 @@ def test_simulate_deterministic(runner, params_file, tmp_path):
     assert runner.invoke(main, args + ["--out", str(out2)]).exit_code == 0
     for name in ("path_0000.csv", "path_0001.csv", "jumps_0000.csv"):
         assert (out1 / name).read_text() == (out2 / name).read_text()
+
+
+@pytest.mark.parametrize("floor", [1e-3, 1e3], ids=["jumps", "header-only"])
+def test_simulate_files_are_17g_of_library_path(runner, params_file, tmp_path, floor):
+    # both files hold "%.17g" of the library's path at the seed the CLI
+    # spawns; no jump of this law reaches 1e3, so that jump file is a header
+    args = ["simulate", "--params", params_file, "--horizon", "2.0", "--step", "0.1",
+            "--seed", "99", "--jump-floor", repr(floor), "--out", str(tmp_path)]
+    assert runner.invoke(main, args).exit_code == 0
+    seed = int(np.random.SeedSequence(99).spawn(1)[0].generate_state(1)[0])
+    cfg = ts.PathConfig(horizon=2.0, step=0.1, seed=seed, jump_floor=floor)
+    path = ts.simulate_path(ts.load_params(params_file), cfg)
+    assert (len(path.jump_times) > 0) == (floor < 1.0)
+    assert (tmp_path / "path_0000.csv").read_text() == csv_17g("t,x", path.times, path.values)
+    assert (tmp_path / "jumps_0000.csv").read_text() == csv_17g(
+        "t,size", path.jump_times, path.jump_sizes)
 
 
 def test_measure_esscher_json(runner, params_file):

@@ -6,6 +6,7 @@ from scipy.stats import norm
 
 import tempstable as ts
 from tempstable import DomainError, TemperedStableParams
+from tempstable.core import cumulant_one_sided
 
 from conftest import random_params
 
@@ -109,6 +110,16 @@ class TestCltSequence:
             stats = ts.moment_stats(p)
             assert stats.mean == pytest.approx(mu, abs=1e-12)
             assert stats.variance == pytest.approx(sigma2, rel=1e-12)
+
+    def test_mean_error_is_bounded_by_the_leg_mean(self):
+        # far along the sequence the two leg means are near 6.7e8 and their
+        # difference keeps only their rounding
+        p = ts.clt_sequence(0.0, 1.0, 0.5, 1.0, 0.0, 1.0, 10**18)
+        stats = ts.moment_stats(p)
+        kappa1_plus = cumulant_one_sided(p.plus, 1)
+        assert stats.mean != 0.0
+        assert abs(stats.mean) <= np.finfo(float).eps * kappa1_plus
+        assert stats.variance == pytest.approx(1.0, rel=1e-15)
 
     def test_bound_halves_when_n_quadruples(self):
         mu, sigma2 = 0.2, 1.0
