@@ -11,10 +11,12 @@ values as null.  Series go to CSV, each value byte for byte as Python's
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import click
 import numpy as np
@@ -93,22 +95,6 @@ def _pow10_table():
     return hh, hi - hh, hi, np.array(lo), np.array(k)
 
 
-_P10_HH, _P10_HL, _P10_HI, _P10_LO, _P10_EXP = _pow10_table()
-
-# slot words: sign "0.000" d0 point | 4 x (digit point) | "e" sign 3 digits separator pad
-_HEADS = _words(b"-0.000%d." % d for d in range(10))
-_GROUPS = np.full((10000, 8), ord("."), np.uint8)
-_GROUPS[:, ::2] = np.indices((10,) * 4, np.uint8).reshape(4, -1).T + ord("0")
-_GROUPS = _GROUPS.view(np.uint64).ravel()
-_TRAILING_ZEROS = sum(np.arange(10000, dtype=np.int16) % 10**j == 0
-                      for j in range(1, 5)).astype(np.uint8)
-_EXPONENTS = _words(b"e" + (b"-" if e < 0 else b"+")
-                    + (b"%03d" if abs(e) >= 100 else b"\0%02d") % abs(e) + b"\0\0\0"
-                    for e in range(16 - _P10_MAX, 17 - _P10_MIN))
-_SEPARATORS = _words([b"\0\0\0\0\0,\0\0", b"\0\0\0\0\0\n\0\0"])
-_MARKER = _words([b"\1\0\0\0\0\0\0\0"])[0]
-
-
 def _masks() -> np.ndarray:
     """Slot masks keyed by ((layout·17 + t)·2 + negative), then one for the
     marker of a value printed on its own.  Layouts 0..20 are fixed notation
@@ -126,23 +112,44 @@ def _masks() -> np.ndarray:
     return (np.vstack([keep.reshape(-1, 48), marker]).astype(np.uint8) * 255).view(np.uint64)
 
 
-_MASKS = _masks()
+@functools.cache
+def _tables() -> SimpleNamespace:
+    """The writer's lookup tables, built on the first call (not at import:
+    most processes print no series) and kept."""
+    hh, hl, hi, lo, exp = _pow10_table()
+    # slot words: sign "0.000" d0 point | 4 x (digit point) | "e" sign 3 digits separator pad
+    groups = np.full((10000, 8), ord("."), np.uint8)
+    groups[:, ::2] = np.indices((10,) * 4, np.uint8).reshape(4, -1).T + ord("0")
+    return SimpleNamespace(
+        p10_hh=hh, p10_hl=hl, p10_hi=hi, p10_lo=lo, p10_exp=exp,
+        heads=_words(b"-0.000%d." % d for d in range(10)),
+        groups=groups.view(np.uint64).ravel(),
+        trailing_zeros=sum(np.arange(10000, dtype=np.int16) % 10**j == 0
+                           for j in range(1, 5)).astype(np.uint8),
+        exponents=_words(b"e" + (b"-" if e < 0 else b"+")
+                         + (b"%03d" if abs(e) >= 100 else b"\0%02d") % abs(e) + b"\0\0\0"
+                         for e in range(16 - _P10_MAX, 17 - _P10_MIN)),
+        separators=_words([b"\0\0\0\0\0,\0\0", b"\0\0\0\0\0\n\0\0"]),
+        marker=_words([b"\1\0\0\0\0\0\0\0"])[0],
+        masks=_masks(),
+    )
 
 
 def _scaled(m, q, e):
     """floor and remainder of x = m·2^q·10^(16-e) from the double-double
     product; x is exact to about 1e-14."""
+    t = _tables()
     i = 16 - e - _P10_MIN
-    p = m * _P10_HI[i]
+    p = m * t.p10_hi[i]
     c = m * _SPLIT
     mh = c - (c - m)
     ml = m - mh
-    hh, hl = _P10_HH[i], _P10_HL[i]
+    hh, hl = t.p10_hh[i], t.p10_hl[i]
     err = ((mh * hh - p) + mh * hl + ml * hh) + ml * hl
-    scale = np.ldexp(1.0, q + _P10_EXP[i])
+    scale = np.ldexp(1.0, q + t.p10_exp[i])
     hi = p * scale
     whole = np.floor(hi)
-    r = (hi - whole) + (err + m * _P10_LO[i]) * scale
+    r = (hi - whole) + (err + m * t.p10_lo[i]) * scale
     fr = np.floor(r)
     return whole.astype(np.int64) + fr.astype(np.int64), r - fr
 
@@ -171,6 +178,7 @@ def _decimal(a):
 def _g17(v, separators) -> bytes:
     """The "%.17g" text of each value of the block ``v``, each followed by
     its separator word."""
+    t = _tables()
     a = np.abs(v)
     zero, odd = a == 0.0, ~np.isfinite(a)
     a[zero | odd] = 1.0
@@ -179,18 +187,18 @@ def _g17(v, separators) -> bytes:
     slow |= odd
     q8, r8 = np.divmod(n, 10**8)
     rows = np.empty((v.size, 6), np.uint64)
-    rows[:, 0] = _HEADS[q8 // 10**8]
+    rows[:, 0] = t.heads[q8 // 10**8]
     trailing, run = np.zeros(v.size, np.int64), np.ones(v.size, bool)
     for j, g in ((4, r8 % 10**4), (3, r8 // 10**4), (2, q8 % 10**4), (1, q8 // 10**4 % 10**4)):
-        rows[:, j] = _GROUPS[g]
-        trailing += run * _TRAILING_ZEROS[g]
+        rows[:, j] = t.groups[g]
+        trailing += run * t.trailing_zeros[g]
         run &= g == 0
-    rows[:, 5] = _EXPONENTS[e + _P10_MAX - 16] | separators[:v.size]
+    rows[:, 5] = t.exponents[e + _P10_MAX - 16] | separators[:v.size]
     layout = np.where((e >= -4) & (e <= 16), e + 4, 21)
     key = (layout * 17 + 16 - trailing) * 2 + np.signbit(v)
-    key[slow] = len(_MASKS) - 1
-    rows[slow, 0] = _MARKER
-    rows &= _MASKS[key]
+    key[slow] = len(t.masks) - 1
+    rows[slow, 0] = t.marker
+    rows &= t.masks[key]
     text = rows.tobytes().translate(None, b"\0")
     if slow.any():
         parts = text.split(b"\1")
@@ -207,7 +215,7 @@ def _csv(header: str, *columns) -> str:
     values = np.column_stack(columns).ravel()
     width = len(columns)
     step = _BLOCK - _BLOCK % width
-    separators = np.tile(_SEPARATORS[[0] * (width - 1) + [1]], step // width)
+    separators = np.tile(_tables().separators[[0] * (width - 1) + [1]], step // width)
     blocks = (_g17(values[i:i + step], separators) for i in range(0, values.size, step))
     return b"".join([f"{header}\n".encode(), *blocks]).decode("ascii")
 
@@ -333,7 +341,8 @@ def fit(data_path, init_path, multistart, tol, max_iter):
 @click.option("--json", "as_json", is_flag=True)
 def diagnose(params_path, as_json):
     """Report moments, normal-approximation bound, mode bracket, tail
-    constant and the path-regularity index."""
+    constant (null for Gamma legs and past the float range) and the
+    path-regularity index."""
     p = _load_two_sided(params_path)
     stats = moment_stats(p)
     be = _limits.berry_esseen_bound(p)
@@ -350,7 +359,10 @@ def diagnose(params_path, as_json):
     if p.plus.beta > 0.0 and p.minus.beta > 0.0:
         br = _density.mode_bracket(p)
         report["mode_bracket"] = {"lower": br.lower, "upper": br.upper}
-        report["tail_constant"] = _density.tail_constant(p)
+        try:
+            report["tail_constant"] = _density.tail_constant(p)
+        except DomainError:  # past the float range: null, and the rest still reported
+            report["tail_constant"] = None
     else:
         report["mode_bracket"] = None
         report["tail_constant"] = None

@@ -35,28 +35,56 @@ def leg_exponent(alpha: float, beta: float, lam: float, z):
     return alpha * (_gamma(1.0 - beta) / -beta) * lam**beta * expm1(u, out=u)
 
 
-def _leg_on_real_axis(alpha: float, beta: float, lam: float, z: np.ndarray):
-    """Real and imaginary parts of leg_exponent(alpha, beta, lam, iz) for
-    real z, in real arithmetic.  With y = z/lam, (1 - iy)^beta = e^(a + ib)
-    for a = beta ln|1 - iy| and b = -beta arctan y, and the leg is
-    alpha Gamma(-beta) lam^beta expm1(a + ib).  Its real part is scipy's
-    cexpm1 form expm1(a) cos b - 2 sin^2(b/2), here through t = tan(b/2):
+def _leg_on_real_axis(alpha: float, beta: float, lam: float, z: np.ndarray,
+                      out: np.ndarray, conjugate: bool = False) -> None:
+    """Add leg_exponent(alpha, beta, lam, iz) for real 1-d z, or its
+    conjugate, into the complex array ``out``, in real arithmetic.  With
+    y = z/lam, (1 - iy)^beta = e^(a + ib) for a = beta ln|1 - iy| and
+    b = -beta arctan y, and the leg is alpha Gamma(-beta) lam^beta
+    expm1(a + ib).  Its real part is scipy's cexpm1 form
+    expm1(a) cos b - 2 sin^2(b/2), here through t = tan(b/2):
     (expm1(a)(1 - t^2) - 2t^2)/(1 + t^2); the imaginary part is
-    e^a 2t/(1 + t^2).  ln|1 - iy| is ln m + log1p(r^2)/2 with m = max(|y|, 1)
-    and r = |y|/m^2, so that y^2 cannot overflow."""
-    y = z / lam
-    ay = np.abs(y)
-    m = np.maximum(ay, 1.0)
-    r = ay / m / m
-    mod = np.log(m) + 0.5 * np.log1p(r * r)
+    e^a 2t/(1 + t^2).  ln|1 - iy| is log1p(y^2)/2.  Overflow guard: where
+    max|y| > 1e150, so that y^2 could overflow, it is ln m + log1p(r^2)/2
+    with m = max(|y|, 1) and r = |y|/m^2 instead.  The ufuncs write in
+    place, into five real temporaries of z's size."""
+    y = np.divide(z, lam, dtype=float)  # in double precision whatever z's real dtype
     phase = np.arctan(y)
+    if max(y.max(initial=0.0), -y.min(initial=0.0)) > 1e150:
+        r = np.abs(y)
+        m = np.maximum(r, 1.0)
+        r /= m
+        r /= m
+        mod = np.add(np.log(m, out=m), 0.5 * np.log1p(np.square(r, out=r), out=r), out=y)
+    else:
+        mod = np.log1p(np.square(y, out=y), out=y)
+        mod *= 0.5
     if beta == 0.0:
-        return -alpha * mod, alpha * phase
-    e = np.expm1(beta * mod)
-    t = np.tan((-0.5 * beta) * phase)
-    q = t * t
-    d = alpha * (_gamma(1.0 - beta) / -beta) * lam**beta / (1.0 + q)
-    return (e * (1.0 - q) - 2.0 * q) * d, (e + 1.0) * (2.0 * t) * d
+        mod *= -alpha
+        out.real += mod
+        phase *= -alpha if conjugate else alpha
+        out.imag += phase
+        return
+    mod *= beta
+    e = np.expm1(mod, out=mod)
+    phase *= -0.5 * beta
+    t = np.tan(phase, out=phase)
+    q = np.square(t)
+    d = np.add(q, 1.0)
+    np.divide(alpha * (_gamma(1.0 - beta) / -beta) * lam**beta, d, out=d)
+    part = np.subtract(1.0, q)
+    part *= e
+    q *= 2.0
+    part -= q
+    part *= d
+    out.real += part
+    e += 1.0
+    t *= 2.0
+    e *= t
+    if conjugate:
+        np.negative(d, out=d)
+    e *= d
+    out.imag += e
 
 
 def cgf_one_sided(p: OneSidedParams, z: float) -> float:
@@ -85,11 +113,10 @@ def log_cf(p: TemperedStableParams, z):
     if not np.all(np.isfinite(z)):
         raise DomainError("characteristic function evaluated at a non-finite frequency")
     if not np.iscomplexobj(z):
-        re_p, im_p = _leg_on_real_axis(p.plus.alpha, p.plus.beta, p.plus.lam, z)
-        re_m, im_m = _leg_on_real_axis(p.minus.alpha, p.minus.beta, p.minus.lam, z)
-        out = np.empty(z.shape, dtype=complex)
-        out.real = re_p + re_m
-        out.imag = im_p - im_m
+        out = np.zeros(z.shape, dtype=complex)
+        flat, zf = out.reshape(-1), z.reshape(-1)
+        _leg_on_real_axis(p.plus.alpha, p.plus.beta, p.plus.lam, zf, flat)
+        _leg_on_real_axis(p.minus.alpha, p.minus.beta, p.minus.lam, zf, flat, conjugate=True)
         return out[()]
     iz = 1j * z
     if np.any(iz.real >= p.plus.lam) or np.any(iz.real <= -p.minus.lam):
@@ -100,10 +127,10 @@ def log_cf(p: TemperedStableParams, z):
 
 def cf(p: TemperedStableParams, z):
     """Characteristic function, principal-branch complex powers throughout."""
-    out = np.exp(log_cf(p, z))
+    out = log_cf(p, z)
     if np.ndim(z) == 0:
-        return complex(out)
-    return out
+        return complex(np.exp(out))
+    return np.exp(out, out=out)
 
 
 def leg_cumulant(alpha: float, beta: float, lam: float, n):

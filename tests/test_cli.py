@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -439,13 +443,42 @@ def test_price_ill_conditioned_sum_exits_3(runner, tmp_path, skewed_tight):
     (1000.0, 0.5, 1000.0, 1.0, 0.5, 1.0),  # overflows the tail constant's exp
     (10000.0, 0.01, 1.0, 1.0, 0.5, 1.0),  # alpha^(1/beta) overflows in the mode bracket
 ])
-def test_diagnose_extreme_law_is_domain_error(runner, tmp_path, law):
+def test_diagnose_extreme_law_reports_null_tail_constant(runner, tmp_path, law):
     path = tmp_path / "law.json"
     ts.save_params(ts.TemperedStableParams.create(*law), path)
     result = runner.invoke(main, ["diagnose", "--params", str(path), "--json"])
-    assert result.exit_code == 2
-    assert result.stderr.startswith("error PARAM_DOMAIN:")
-    assert "tail constant overflows" in result.stderr
+    assert result.exit_code == 0, result.output
+    report = json.loads(result.stdout)
+    assert report["tail_constant"] is None
+    assert report["mode_bracket"]["lower"] < report["mode_bracket"]["upper"]
+    assert all(np.isfinite(report[key]) for key in ("mean", "variance", "kurtosis"))
+
+
+def test_diagnose_keeps_its_report_when_the_tail_constant_overflows(runner, tmp_path):
+    # far along the sequence the tail constant is alpha e^(1.17e18), while
+    # the moments and the normal-approximation bound stay finite
+    path = tmp_path / "clt.json"
+    ts.save_params(ts.clt_sequence(0.0, 1.0, 0.5, 1.0, 0.5, 1.0, 10**18), path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = runner.invoke(main, ["diagnose", "--params", str(path), "--json"])
+    assert result.exit_code == 0, result.output
+    report = json.loads(result.stdout)
+    assert report["tail_constant"] is None
+    assert report["mean"] == 0.0
+    assert report["variance"] == pytest.approx(1.0, rel=1e-12)
+    assert report["kurtosis"] == 3.0
+    assert report["berry_esseen_bound"] == pytest.approx(2.3e-8, rel=0.01)
+
+
+def test_importing_the_cli_builds_no_csv_tables():
+    # a fresh interpreter: this process may have written CSV already
+    path = [str(Path(ts.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    probe = "import tempstable.cli as c; print(c._tables.cache_info().currsize)"
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                          timeout=120, check=True)
+    assert done.stdout.strip() == "0"
 
 
 

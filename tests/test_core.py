@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from decimal import Decimal, localcontext
 
@@ -202,6 +203,28 @@ class TestRealAxis:
                 ts.log_cf(skewed, np.array([0.5, z]))
             with pytest.raises(DomainError, match="non-finite"):
                 ts.cf(skewed, z)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float16, np.int32])
+def test_real_axis_transform_works_in_double_precision(skewed, dtype):
+    z = np.array([0.0, 1.5, -2.0, 6e4]).astype(dtype)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = ts.log_cf(skewed, z)
+    assert np.array_equal(got, ts.log_cf(skewed, z.astype(float)))
+
+
+def test_real_axis_transform_memory_is_bounded(skewed):
+    # the output, 1 MiB at 2^16 points, and a few real temporaries
+    z = np.linspace(-1e3, 1e3, 2**16)
+    ts.cf(skewed, z[:8])
+    tracemalloc.start()
+    try:
+        ts.cf(skewed, z)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.5 * 2**20
 
 
 class TestCumulants:

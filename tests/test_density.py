@@ -167,6 +167,25 @@ class TestSupportTruncation:
         assert np.all(ref > 0.0)
         assert np.max(np.abs(ev.pdf(xs) - ref) / ref) < 1e-10
 
+    def test_support_is_the_first_negligible_node_of_the_full_plan(self):
+        meta = ts.DensityEvaluator(README_LAW).grid().meta
+        n = meta["nodes"]
+        phi = ts.cf(README_LAW, meta["dz"] * np.arange(n))
+        phi[0] *= 0.5
+        first = np.flatnonzero((n - np.arange(n)) * np.abs(phi) <= 1e-16)[0]
+        assert meta["support"] == first < n
+
+    def test_plan_retains_only_the_support(self):
+        ts.DensityEvaluator(README_LAW)  # lazy imports and caches outside the trace
+        tracemalloc.start()
+        try:
+            ev = ts.DensityEvaluator(README_LAW)
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ev._support < ev._n
+        assert retained <= 64 * 1024
+
 
 class TestFactoredSum:
     """Pointwise pdf factors the support's Fourier sum into two short
