@@ -118,7 +118,7 @@ def log_cf(p: TemperedStableParams, z):
         _leg_on_real_axis(p.plus.alpha, p.plus.beta, p.plus.lam, zf, flat)
         _leg_on_real_axis(p.minus.alpha, p.minus.beta, p.minus.lam, zf, flat, conjugate=True)
         return out[()]
-    iz = 1j * z
+    iz = 1j * z.astype(complex, copy=False)  # complex64 would stay single precision
     if np.any(iz.real >= p.plus.lam) or np.any(iz.real <= -p.minus.lam):
         raise DomainError("characteristic function evaluated outside its analytic strip")
     return (leg_exponent(p.plus.alpha, p.plus.beta, p.plus.lam, iz)

@@ -60,16 +60,22 @@ def sample_cumulants(data) -> SampleCumulants:
         )
     if not np.isfinite(x).all():
         raise DomainError(f"{x.size - np.isfinite(x).sum()} of {x.size} observations are not finite")
-    k1 = np.mean(x)
-    d = x - k1
-    d -= np.mean(d)  # the rounded k1 is off by O(ulp of the offset); a second pass removes it
-    d2 = d * d
-    d3 = d2 * d  # products, not powers: a pow call per element costs 30x more
-    m2, m3, m4, m5, m6 = (np.mean(v) for v in (d2, d3, d2 * d2, d3 * d2, d3 * d3))
-    k4 = m4 - 3 * m2**2
-    k5 = m5 - 10 * m3 * m2
-    k6 = m6 - 15 * m4 * m2 - 10 * m3**2 + 30 * m2**3
-    return SampleCumulants(kappa_hat=(k1, m2, m3, k4, k5, k6), n_obs=int(x.size))
+    # a cumulant past the float range is refused below, without numpy's warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        k1 = np.mean(x)
+        d = x - k1
+        d -= np.mean(d)  # the rounded k1 is off by O(ulp of the offset); a second pass removes it
+        d2 = d * d
+        d3 = d2 * d  # products, not powers: a pow call per element costs 30x more
+        m2, m3, m4, m5, m6 = (np.mean(v) for v in (d2, d3, d2 * d2, d3 * d2, d3 * d3))
+        k4 = m4 - 3 * m2**2
+        k5 = m5 - 10 * m3 * m2
+        k6 = m6 - 15 * m4 * m2 - 10 * m3**2 + 30 * m2**3
+    kappa = (k1, m2, m3, k4, k5, k6)
+    if not np.isfinite(kappa).all():
+        raise DomainError(f"the sample cumulants of {x.size} observations leave the float range: "
+                          f"{tuple(float(k) for k in kappa)}; rescale the data")
+    return SampleCumulants(kappa_hat=kappa, n_obs=int(x.size))
 
 
 def fit_one_sided(k) -> OneSidedParams:

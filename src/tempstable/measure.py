@@ -163,7 +163,8 @@ def esscher_martingale(p: TemperedStableParams, r: float, q_div: float) -> Marti
         )
     lo, hi = -lm, lp - 1.0
     rq = r - q_div
-    theta, neighbours = _increasing_root(lambda th: esscher_f(p, th) - rq, lo, hi)
+    theta, neighbours = _increasing_root(
+        lambda th: _plus_part(p, th) + _minus_part(p, -th) - rq, lo, hi)
     # r - q outside (f(lo), f(hi)] comes back as lo with f(lo) - rq >= 0 or as
     # hi with f(hi) - rq < 0; f(hi) = r - q is a root at hi
     if neighbours[1] < 0.0 or (theta == lo and neighbours[0] >= 0.0):

@@ -69,6 +69,19 @@ def test_fit_non_finite_observations_is_domain_error(runner, tmp_path, bad):
     assert caught == []
 
 
+def test_fit_overflowing_cumulants_is_domain_error(runner, tmp_path):
+    # finite observations whose sample cumulants pass the float range
+    path = tmp_path / "obs.csv"
+    np.savetxt(path, np.random.default_rng(0).standard_normal(50) * 1e60)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = runner.invoke(main, ["fit", str(path), "--multistart"])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert [line.split(":")[0] for line in result.stderr.splitlines()] == ["error PARAM_DOMAIN"]
+    assert caught == []
+
+
 @pytest.mark.parametrize("data", [np.full(50, 1.5), np.random.default_rng(0).uniform(size=1000)],
                          ids=["constant", "uniform"])
 def test_fit_multistart_on_infeasible_data_exits_2(runner, tmp_path, data):

@@ -214,6 +214,20 @@ def test_real_axis_transform_works_in_double_precision(skewed, dtype):
     assert np.array_equal(got, ts.log_cf(skewed, z.astype(float)))
 
 
+@pytest.mark.parametrize("z", [
+    1.5 + 0.1j,
+    [1.5 + 0.1j, 2.5 - 0.2j],
+    [0.0j, -7.0 + 2.0j, 6e4 - 1.0j],
+], ids=["scalar", "pair", "wide"])
+def test_complex_transform_works_in_double_precision(z):
+    # complex64 frequencies are widened, not computed in single precision
+    law = TemperedStableParams.create(1.0, 0.3, 3.0, 2.0, 0.6, 4.0)
+    z64 = np.asarray(z, dtype=np.complex64)
+    got = ts.log_cf(law, z64)
+    assert got.dtype == np.complex128
+    assert np.array_equal(got, ts.log_cf(law, z64.astype(complex)))
+
+
 def test_real_axis_transform_memory_is_bounded(skewed):
     # the output, 1 MiB at 2^16 points, and a few real temporaries
     z = np.linspace(-1e3, 1e3, 2**16)

@@ -6,6 +6,7 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy.optimize import brentq
 from scipy.stats import gamma as gamma_dist
 
 import tempstable as ts
@@ -30,14 +31,20 @@ SLOW_LAW = TemperedStableParams.create(1.0, 0.1, 1.0, 1.0, 0.1, 1.0)
 WIDE_BRACKET_LAW = TemperedStableParams.create(3.0, 0.95, 1.0, 1.0, 0.5, 1.0)
 
 
-def _direct_dft_pdf(p, settings, xs):
-    """Reference pointwise density: the half-line DFT over every planned
-    node, rebuilt from the grid's plan record and the public transform."""
-    meta = ts.DensityEvaluator(p, settings).grid().meta
-    z = meta["dz"] * np.arange(meta["nodes"])
+def _direct_dft_nodes(p, settings):
+    """The grid, and every planned node z_k with its half-line weighted
+    phi_k, rebuilt from the grid's plan record and the public transform."""
+    g = ts.DensityEvaluator(p, settings).grid()
+    z = g.meta["dz"] * np.arange(g.meta["nodes"])
     phi = ts.cf(p, z)
     phi[0] *= 0.5
-    out = np.array([(meta["dz"] / math.pi) * np.real(np.exp(-1j * x * z) @ phi) for x in xs])
+    return g, z, phi
+
+
+def _direct_dft_pdf(p, settings, xs):
+    """Reference pointwise density: the half-line DFT over every planned node."""
+    g, z, phi = _direct_dft_nodes(p, settings)
+    out = np.array([(g.meta["dz"] / math.pi) * np.real(np.exp(-1j * x * z) @ phi) for x in xs])
     return np.maximum(out, 0.0)
 
 
@@ -420,6 +427,24 @@ class TestMode:
     def test_near_gamma_mode(self):
         # dominant Gamma(2, 1) leg peaks near (alpha - 1) / lambda = 1
         assert ts.mode(GAMMA_PROXY, GAMMA_SETTINGS) == pytest.approx(1.0, abs=2e-3)
+
+    @pytest.mark.parametrize("law, settings", [
+        # a density_eval benchmark law (seed 107, law 17), rounded to four digits
+        (TemperedStableParams.create(0.5205, 0.2878, 3.907, 1.627, 0.8330, 0.9991), None),
+        (README_LAW, None),
+        (GAMMA_PROXY, GAMMA_SETTINGS),
+        (TemperedStableParams.create(1.0, 0.5, 1.0, 1.0, 0.5, 1.0), None),
+    ], ids=["bench-law", "readme", "near-gamma", "symmetric-half"])
+    def test_mode_is_the_root_of_the_direct_sum_slope(self, law, settings):
+        # pdf' as the direct sum over every planned node, with coefficients
+        # -i z_k phi_k, solved to rounding between the grid argmax's neighbours
+        g, z, phi = _direct_dft_nodes(law, settings)
+        slope = -1j * z * phi
+        i = int(np.argmax(g.pdf))
+        root = brentq(lambda x: np.real(np.exp(-1j * x * z) @ slope), g.x[i - 1], g.x[i + 1],
+                      xtol=1e-300, rtol=4.0 * np.finfo(float).eps)
+        sd = math.sqrt(ts.moment_stats(law).variance)
+        assert abs(ts.mode(law, settings) - root) <= 1e-12 * sd
 
     def test_wide_bracket_mode_at_grid_argmax(self):
         g = ts.density_grid(WIDE_BRACKET_LAW)

@@ -41,6 +41,13 @@ class TestSampleCumulants:
             ts.sample_cumulants(x)
         assert err.value.code == "PARAM_DOMAIN"
 
+    def test_overflowing_cumulants_are_domain_error(self):
+        # finite data whose sixth central moment passes the float range
+        x = np.random.default_rng(0).standard_normal(50) * 1e60
+        with pytest.raises(DomainError, match="leave the float range") as err:
+            ts.sample_cumulants(x)
+        assert err.value.code == "PARAM_DOMAIN"
+
     def test_standard_normal_synthetic(self, rng):
         n = 1_000_000
         k = ts.sample_cumulants(rng.standard_normal(n))
