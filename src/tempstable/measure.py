@@ -28,8 +28,9 @@ MARTINGALE_RESIDUAL_TOL = 1e-10
 
 _REL_TOL = 1e-12
 
-#: brentq's stopping bracket, below which the root solve bisects to adjacent floats
-_XTOL, _RTOL = 1e-14, 8.9e-16
+#: brentq's stopping bracket, a few floats wide (its least rtol, 4 eps), below
+#: which the root solve bisects to adjacent floats
+_XTOL, _RTOL = 1e-300, 8.9e-16
 
 #: lower end of the clipped search interval for the downward curve tilt
 _THETA_FLOOR = -1e6
@@ -311,10 +312,11 @@ def _increasing_root(f, lo: float, hi: float) -> tuple[float, tuple[float, float
     """Root of the increasing ``f`` on [lo, hi], to the float.
 
     Returns ``lo`` when f(lo) >= 0 and ``hi`` when f(hi) <= 0, each with
-    that end's value twice.  Otherwise brentq's root is bisected down to the
-    adjacent floats a < b with f(a) < 0 <= f(b), unless it meets f = 0 on
-    the way, and it returns the float of least |f| that the search met, at
-    worst the better of a and b, with (f(a), f(b)).
+    that end's value twice.  Otherwise brentq closes in to a few floats,
+    every value it takes narrowing the bracket, and bisection finishes at
+    the adjacent floats a < b with f(a) < 0 <= f(b), unless the search
+    meets f = 0 on the way.  It returns the float of least |f| that the
+    search met, at worst the better of a and b, with (f(a), f(b)).
     """
     f_a, f_b = f(lo), f(hi)
     if f_a >= 0.0:
@@ -322,21 +324,25 @@ def _increasing_root(f, lo: float, hi: float) -> tuple[float, tuple[float, float
     if f_b <= 0.0:
         return hi, (f_b, f_b)
     a, b, best = lo, hi, min((-f_a, lo), (f_b, hi))
-    x = brentq(f, lo, hi, xtol=_XTOL, rtol=_RTOL)
-    # brentq stops on a sign change between x and a float within w of it:
-    # probe x, then that float, then halve the bracket
-    w = _XTOL + _RTOL * abs(x)
-    probes = [x - w, x + w, x]
-    while best[0] > 0.0 and math.nextafter(a, b) < b:
-        m = probes.pop() if probes else a + 0.5 * (b - a)
+
+    def probe(m):
+        # brentq starts at lo and hi; every later value lies inside the bracket
+        nonlocal a, b, f_a, f_b, best
         if not a < m < b:
-            continue
+            return f_a if m == a else f_b
         f_m = f(m)
         best = min(best, (abs(f_m), m))
         if f_m < 0.0:
             a, f_a = m, f_m
         else:
             b, f_b = m, f_m
+        return f_m
+
+    # brentq's bracket may stay wider in noise or at its iteration cap; the
+    # bisection below ends the search either way
+    brentq(probe, lo, hi, xtol=_XTOL, rtol=_RTOL, disp=False)
+    while best[0] > 0.0 and math.nextafter(a, b) < b:
+        probe(a + 0.5 * (b - a))
     return best[1], (f_a, f_b)
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 import warnings
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
-from scipy.special import gamma as G
+from scipy.special import exp1, gamma as G, gammaincc
 from scipy.stats import ks_2samp, kstest
 
 import tempstable as ts
@@ -123,8 +124,10 @@ class TestTiltedStableSampler:
     moves it by 4 standard errors)."""
 
     @pytest.mark.parametrize("beta", [0.05, 0.5, 0.95, 0.999])
+    # either side of the switch, and of 2, where it was before
     @pytest.mark.parametrize("tau", [1e-3, 0.5, 0.999 * _KANTER_MAX_TILT,
-                                     1.001 * _KANTER_MAX_TILT, 3.0, 1e2, 1e4, 1e10])
+                                     1.001 * _KANTER_MAX_TILT, 1.998, 2.002, 3.0, 1e2, 1e4,
+                                     1e10])
     def test_laplace_transform_and_mean(self, rng, tau, beta):
         _check_laplace_transform_and_mean(rng, tau, beta)
 
@@ -180,7 +183,7 @@ class TestTiltedStableSampler:
         assert passed >= 0.9 * tried
 
     # Kanter's branch below the switch, the double rejection above it
-    @pytest.mark.parametrize("tau", [0.35, 1.9, 130.0, 1e4])
+    @pytest.mark.parametrize("tau", [0.35, 1.1, 1.9, 130.0, 1e4])
     def test_memory_is_bounded_by_the_block(self, rng, tau):
         leg = OneSidedParams(tau * 0.4 / G(0.6), 0.4, 1.0)
         tracemalloc.start()
@@ -222,13 +225,14 @@ def test_proposal_that_never_accepts_is_convergence_error(rng, monkeypatch, skew
         draw(rng, skewed)
 
 
-@pytest.mark.parametrize("tau", [2.001, 2.5, 4.0, 10.0, 130.0, 1e4, 1e10])
+@pytest.mark.parametrize("tau", [1.001 * _KANTER_MAX_TILT, 2.001, 2.5, 4.0, 10.0, 130.0, 1e4,
+                                 1e10])
 @pytest.mark.parametrize("beta", [1e-9, 0.05, 0.4, 0.8, 0.999])
 def test_u_envelope_dominates_the_marginal(tau, beta):
     sg = math.sqrt(tau * beta * (1.0 - beta))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        cum, lo, width, log_h = simulate._u_envelope(tau, beta)
+        cum, lo, width, log_h, _ = simulate._u_envelope(tau, beta)
         assert lo[0] == 0.0 and lo[-1] + width[-1] == math.pi
         assert np.all(width > 0.0) and cum[-1] == 1.0
         # 65 points on each piece, both ends included
@@ -240,6 +244,106 @@ def test_u_envelope_dominates_the_marginal(tau, beta):
         u = math.pi - width[-1] * 0.5 ** np.arange(1.0, 32.0)
         log_g = simulate._u_marginal(u, tau, beta, sg)[3]
         assert np.all(log_h[-1] >= log_g) and np.all(np.diff(log_g) <= 0.0)
+
+
+# (10, 0.5) ends in nine pieces of zero mass: their masses round away in cum
+@pytest.mark.parametrize("tau, beta", [(1e10, 0.999), (10.0, 0.5), (2.5, 0.2),
+                                       (1.001 * _KANTER_MAX_TILT, 0.8)])
+def test_guided_piece_is_searchsorted(tau, beta):
+    cum, *_, guide = simulate._u_envelope(tau, beta)
+    assert guide.dtype == np.int16 and guide.nbytes <= 8 * 2**10
+    if (tau, beta) == (10.0, 0.5):
+        assert np.sum(np.diff(cum) == 0.0) == 9
+    edges = np.concatenate([cum, np.nextafter(cum, -np.inf), np.nextafter(cum, np.inf)])
+    r = np.concatenate([[0.0, 1.0 - 2.0**-53], edges[edges < 1.0],
+                        np.random.default_rng(5).random(100_000)])
+    assert np.array_equal(simulate._guided_piece(r, cum, guide),
+                          np.searchsorted(cum, r, side="right"))
+
+
+def _reference_round(tau, beta, k, rng):
+    # the double rejection in its plain form: searchsorted for the piece,
+    # boolean masks for the survivors and np.where for the outer envelope
+    cum, lo, width, log_h, _ = simulate._u_envelope(tau, beta)
+    sg = math.sqrt(tau * beta * (1.0 - beta))
+    piece = np.searchsorted(cum, rng.random(k), side="right")
+    u = lo[piece] + rng.random(k) * width[piece]
+    lz, zeta_u, z, log_g = simulate._u_marginal(u, tau, beta, sg)
+    e = rng.standard_exponential(k) + log_g - log_h[piece]
+    keep = e >= 0.0
+    lz, zeta_u, z, e = lz[keep], zeta_u[keep], z[keep], e[keep]
+    j, c1 = e.size, simulate._HALF_PI_ROOT
+    width = beta * zeta_u / sg
+    pick = rng.random(j) * (1.0 + c1 + z * zeta_u / sg)
+    normal, expo = rng.standard_normal(j), rng.exponential(1.0, j)
+    left, right = pick < c1, pick >= 1.0 + c1
+    y = np.where(left, -width * np.abs(normal),
+                 width * np.where(right, 1.0, pick - c1)
+                 + np.where(right, z * np.exp(lz) / (tau * (1.0 - beta)) * expo, 0.0))
+    log_x = np.log1p(np.where(y > -1.0, y, np.nan))
+    b = (1.0 - beta) / beta
+    with np.errstate(over="ignore"):
+        excess = tau * np.exp(-lz) * ((1.0 - beta) * y + beta * np.expm1(-b * log_x))
+    excess -= np.where(left, 0.5 * normal * normal, np.where(right, expo, 0.0))
+    acc = excess <= e
+    return tau * beta * np.exp(-b * log_x[acc] - lz[acc])
+
+
+@pytest.mark.parametrize("tau", [1.001 * _KANTER_MAX_TILT, 2.5, 13.0, 1e4, 1e10])
+@pytest.mark.parametrize("beta", [0.05, 0.5, 0.999])
+def test_double_rejection_round_matches_the_plain_form(tau, beta):
+    for k in (1, 1000, 20_000):
+        got = simulate._double_rejection_round(tau, beta, k, np.random.default_rng(k))
+        want = _reference_round(tau, beta, k, np.random.default_rng(k))
+        assert got.tobytes() == want.tobytes()
+
+
+def _kernel_digest():
+    # the float64 kernels and generator streams the double rejection draws
+    # from; numpy's SIMD dispatch may round them differently on another CPU
+    x = np.linspace(1e-3, 3.0, 1001)
+    rng = np.random.default_rng(2025)
+    parts = [np.exp(-x), np.log(x), np.log1p(x), np.expm1(-x), np.sin(x),
+             rng.random(1000), rng.standard_normal(1000), rng.standard_exponential(1000)]
+    return hashlib.sha256(b"".join(p.tobytes() for p in parts)).hexdigest()
+
+
+def test_double_rejection_draws_are_pinned():
+    # SHA-256 of the draws before the guide table and index compaction
+    # (2-CPU x86-64 with AVX-512, numpy 2.4.6), which draw the same bits
+    if _kernel_digest() != "55ca28e9f86a415b7d0e7d3421e70c5e559f4f35b71de812c6b9ae375a55e5de":
+        pytest.skip("float64 kernels round differently from the pinning host's")
+    digest = hashlib.sha256()
+    for tau in (2.5, 13.0, 130.0, 1e4, 1e10):
+        for beta in (0.05, 0.4, 0.8, 0.999):
+            leg = OneSidedParams(tau * beta / G(1.0 - beta), beta, 1.0)
+            digest.update(ts.sample_one_sided(leg, 1.0, np.random.default_rng(2025),
+                                              size=5000).tobytes())
+    assert digest.hexdigest() == "e7abfb9197a6d20cf4a9afb03d430588f06b1d9a8ce468accf645f5837484491"
+
+
+def _jump_survival(p, x):
+    # jump_intensity_above(p, x) on an array, by the same closed form
+    b, y = p.beta, p.lam * x
+    if b == 0.0:
+        return p.alpha * exp1(y)
+    return p.alpha * p.lam**b * (G(1.0 - b) * gammaincc(1.0 - b, y) - y**-b * np.exp(-y)) / -b
+
+
+@pytest.mark.parametrize("floor", [1e-3, 0.5])
+@pytest.mark.parametrize("beta", [0.0, 0.3, 0.6, 0.95])
+def test_jump_sizes_follow_the_jump_measure(rng, beta, floor):
+    # P(size > x) = jump_intensity_above(p, x) / jump_intensity_above(p, floor);
+    # near a small floor nearly every candidate is on the power-law piece,
+    # at 0.5 both pieces carry mass
+    p, n = OneSidedParams(1.0, beta, 3.0), 1_000_000
+    probe = floor * np.array([1.0, 1.5, 4.0, 30.0])
+    assert np.allclose(_jump_survival(p, probe),
+                       [ts.jump_intensity_above(p, x) for x in probe], rtol=1e-12, atol=0.0)
+    x = simulate._sample_jump_sizes(p, floor, n, rng)
+    assert np.all(x >= floor)
+    total = _jump_survival(p, floor)
+    assert kstest(x, lambda v: 1.0 - _jump_survival(p, v) / total).statistic < 1.95 / math.sqrt(n)
 
 
 def _log_uniform(lo, hi):
