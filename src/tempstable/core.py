@@ -24,7 +24,26 @@ def leg_exponent(alpha: float, beta: float, lam: float, z):
     Takes real or complex z and raw (possibly tilted) rates; the caller
     checks the domain.  u is scipy's log1p(-z/lam), which unlike numpy's
     keeps the real part for small complex arguments, or ln((lam - z)/lam)
-    where Re(-z/lam) < -1/2, keeping the digits of lam - z near z = lam."""
+    where Re(-z/lam) < -1/2, keeping the digits of lam - z near z = lam.
+
+    A real float z (np.float64 included), as in the martingale solves,
+    takes a scalar path without numpy's array machinery (about 0.7 us
+    against 10 us), bit-identical to the array path and like it returning
+    np.float64.  Its kernels are chosen for that: scipy's log1p, expm1
+    and gamma give the same bits on a scalar as on an array, where
+    math.log1p differs on 15-25% of inputs; np.log runs numpy's SIMD
+    kernel on a scalar too, where math.log (libm) rounds about one input
+    in 10^3 to 10^4 otherwise.  u = -inf at z = lam, without a warning."""
+    if isinstance(z, float):
+        w = z * (-1.0 / lam)
+        if w < -0.5:
+            x = (lam - z) * (1.0 / lam)
+            u = np.log(x) if x != 0.0 else np.float64(-math.inf)
+        else:
+            u = log1p(w)
+        if beta == 0.0:
+            return -alpha * u
+        return alpha * (_gamma(1.0 - beta) / -beta) * lam**beta * expm1(u * beta)
     w = np.asarray(z) * (-1.0 / lam)
     u = log1p(w, out=np.empty_like(w))  # an array even for scalar z, for np.log to fill
     with np.errstate(divide="ignore"):  # u = -inf at the closed end z = lam

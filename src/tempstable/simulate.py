@@ -15,7 +15,9 @@ the jump sizes of a floored path (one uniform picks the piece of a
 two-piece proposal and the candidate in it), fill their draws through
 one rejection loop whose rounds are sized by the acceptance seen so far;
 it makes every draw in blocks, so the temporaries stay O(block) in size,
-and each test keeps its survivors by index.
+and each test keeps its survivors by index.  The double rejection's
+rounds write their temporaries into a work area that each thread keeps
+(``_work``), so that its pages stay mapped from one round to the next.
 Paths are sums of per-step increments; when a jump record is requested,
 jumps above the floor come from an exact compound-Poisson layer and the
 sub-floor remainder is folded into a moment-matched Gamma increment per
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,7 +128,13 @@ def _rejection_fill(propose, n: int, what: str) -> np.ndarray:
     but never more than its size.  The accepted draws are iid and their
     order does not depend on their values, so keeping the first ones that
     fit is exact.  ``what`` names the sampler in the ``ConvergenceError``
-    raised when a block takes ``_MAX_REJECTION_ROUNDS`` rounds."""
+    raised when a block takes ``_MAX_REJECTION_ROUNDS`` rounds.
+
+    The double rejection's ``propose`` returns a view of the calling
+    thread's work area (``_work``), which its next round overwrites; the
+    block copies it first.  That area stays at the size of the thread's
+    largest round, 73 bytes per candidate, so at most 4.6 MiB per thread
+    for a full block."""
     out = np.empty(n)
     for start in range(0, n, _BLOCK):
         block = out[start:start + _BLOCK]
@@ -143,6 +152,36 @@ def _rejection_fill(propose, n: int, what: str) -> np.ndarray:
     return out
 
 
+class _Work:
+    """Work arrays for rounds of up to ``size`` candidates: nine float64
+    ``rows``, which the rounds also view as intp and int16, and a bool
+    ``mask``; 73 bytes per candidate.  Which function writes which row is
+    stated in its docstring."""
+
+    def __init__(self, size: int):
+        self.rows = np.empty((9, size))
+        self.mask = np.empty(size, dtype=bool)
+
+
+_LOCAL = threading.local()
+
+
+def _work(k: int) -> _Work:
+    """This thread's work area, grown to hold k candidates.
+
+    The double rejection's rounds keep their temporaries there: glibc
+    returns a freed array of a round's size (2e4 candidates is 160 KB) to
+    the system, and the next round faults its pages back in, about 470
+    faults per such round when each made its own.  As k <= ``_BLOCK`` it
+    peaks at 73 * 2^16 bytes, 4.6 MiB, and stays at its largest size.
+    Only the index lists of the kept candidates are made afresh.
+    """
+    ws = getattr(_LOCAL, "work", None)
+    if ws is None or ws.mask.size < k:
+        ws = _LOCAL.work = _Work(k)
+    return ws
+
+
 @functools.lru_cache(maxsize=64)
 def _sinc_series(beta: float) -> tuple:
     # the coefficients of ln zeta^2 in (u/pi)^2 below _SERIES_EDGE, highest first
@@ -151,7 +190,7 @@ def _sinc_series(beta: float) -> tuple:
     return tuple((_SINC_SERIES * (np.expm1(n * math.log1p(-b)) + b**n))[::-1].tolist())
 
 
-def _log_zeta2(u: np.ndarray, beta: float) -> np.ndarray:
+def _log_zeta2(u: np.ndarray, beta: float, ws: _Work) -> np.ndarray:
     """ln of zeta^2 = sinc(u) / (sinc(beta u)^beta sinc((1-beta) u)^(1-beta)),
     with sinc x = sin(x)/x; zeta^2 is at most 1.
 
@@ -160,33 +199,60 @@ def _log_zeta2(u: np.ndarray, beta: float) -> np.ndarray:
     series of ln sinc, whose coefficients -(1 - beta^(2k+1) -
     (1-beta)^(2k+1)) zeta(2k)/k (symmetric in beta <-> 1-beta) are formed
     without cancellation.  Every one is negative, so ln zeta^2 decreases
-    in u on [0, pi).
+    in u on [0, pi).  Writes row 4 of ``ws`` with rows 5-7 as scratch; u
+    must lie in none of them.
     """
-    out = np.empty_like(u)
-    near = np.flatnonzero(u < _SERIES_EDGE)
-    x = (u[near] / np.pi) ** 2
+    k = u.size
+    out, x_row, acc_row, tmp = ws.rows[4:8, :k]
+    near = np.less(u, _SERIES_EDGE, out=ws.mask[:k]).nonzero()[0]
+    n = near.size
+    x = u.take(near, out=x_row[:n], mode="clip")
+    x /= np.pi
+    np.square(x, out=x)
     top, *rest = _sinc_series(beta)
-    acc = top * x
+    acc = np.multiply(x, top, out=acc_row[:n])
     for c in rest:
         acc += c
         acc *= x
     out[near] = acc
-    far = np.flatnonzero(u >= _SERIES_EDGE)
-    x = u[far]
-    out[far] = (np.log(np.sin(x)) - beta * np.log(np.sin(beta * x))
-                  - (1.0 - beta) * np.log(np.sin((1.0 - beta) * x))
-                  + beta * math.log(beta) + (1.0 - beta) * math.log1p(-beta))
+    far = np.greater_equal(u, _SERIES_EDGE, out=ws.mask[:k]).nonzero()[0]
+    n = far.size
+    x = u.take(far, out=x_row[:n], mode="clip")
+    acc = np.log(np.sin(x, out=acc_row[:n]), out=acc_row[:n])
+    for w in (beta, 1.0 - beta):  # acc -= w ln sin(w x)
+        t = np.multiply(x, w, out=tmp[:n])
+        np.log(np.sin(t, out=t), out=t)
+        t *= w
+        acc -= t
+    acc += beta * math.log(beta)
+    acc += (1.0 - beta) * math.log1p(-beta)
+    out[far] = acc
     return out
 
 
-def _u_marginal(u: np.ndarray, tau: float, beta: float, sg: float):
+def _u_marginal(u: np.ndarray, tau: float, beta: float, sg: float, ws: _Work | None = None):
     """ln zeta^2, zeta, z and ln g at u, for U's tilted marginal g = A B:
     A = (1 + sqrt(pi/2)) sg/zeta + z, z = 1/(1 - (1 + beta zeta/sg)^(-1/beta)),
-    B = exp(-tau (zeta^-2 - 1)), sg = sqrt(tau beta (1-beta))."""
-    lz = _log_zeta2(u, beta)
-    zeta_u = np.exp(0.5 * lz)
-    z = -1.0 / np.expm1(-np.log1p(beta * zeta_u / sg) / beta)
-    return lz, zeta_u, z, np.log((1.0 + _HALF_PI_ROOT) * sg / zeta_u + z) - tau * np.expm1(-lz)
+    B = exp(-tau (zeta^-2 - 1)), sg = sqrt(tau beta (1-beta)).  Writes
+    rows 4-7 of ``ws`` (a fresh one by default) with row 1 as scratch;
+    u must lie in none of them."""
+    k = u.size
+    ws = _Work(k) if ws is None else ws
+    lz = _log_zeta2(u, beta, ws)
+    _, zeta_u, z, log_g = ws.rows[4:8, :k]
+    np.exp(np.multiply(lz, 0.5, out=zeta_u), out=zeta_u)
+    np.multiply(zeta_u, beta, out=z)
+    z /= sg
+    np.negative(np.log1p(z, out=z), out=z)
+    z /= beta
+    np.divide(-1.0, np.expm1(z, out=z), out=z)
+    np.divide((1.0 + _HALF_PI_ROOT) * sg, zeta_u, out=log_g)
+    log_g += z
+    np.log(log_g, out=log_g)
+    t = np.expm1(np.negative(lz, out=ws.rows[1, :k]), out=ws.rows[1, :k])
+    t *= tau
+    log_g -= t
+    return lz, zeta_u, z, log_g
 
 
 @functools.lru_cache(maxsize=64)
@@ -219,15 +285,23 @@ def _u_envelope(tau: float, beta: float):
     return cum, nodes, width, log_h, guide
 
 
-def _guided_piece(r: np.ndarray, cum: np.ndarray, guide: np.ndarray) -> np.ndarray:
+def _guided_piece(r: np.ndarray, cum: np.ndarray, guide: np.ndarray,
+                  ws: _Work | None = None) -> np.ndarray:
     """``searchsorted(cum, r, side="right")`` for r in [0, 1), through the
     guide table of Chen and Asau (1974): guide[j] is that piece at r = j/G,
     G = ``_GUIDE``, a power of two, so floor(r G) = j is exact and guide[j]
     is never past r's piece.  Only an r at or beyond its guess's upper
-    mass, at most len(cum)/G of them, is searched."""
-    piece = guide[(r * _GUIDE).astype(np.intp)].astype(np.intp)
-    far = np.flatnonzero(r >= cum[piece])
-    piece[far] = np.searchsorted(cum, r[far], side="right")
+    mass, at most len(cum)/G of them, is searched.  Writes row 1 of ``ws``
+    (a fresh one by default) with row 2 as scratch."""
+    k = r.size
+    ws = _Work(k) if ws is None else ws
+    piece = ws.rows[1, :k].view(np.intp)
+    tmp = ws.rows[2, :k]
+    np.multiply(r, _GUIDE, out=piece, casting="unsafe")  # floor, as r >= 0
+    np.copyto(piece, guide.take(piece, out=tmp.view(np.int16)[:k], mode="clip"))
+    far = np.greater_equal(r, cum.take(piece, out=tmp, mode="clip"), out=ws.mask[:k]).nonzero()[0]
+    if far.size:
+        piece[far] = np.searchsorted(cum, r[far], side="right")
     return piece
 
 
@@ -235,15 +309,25 @@ def _accepted_u(tau: float, beta: float, k: int, rng):
     """The candidates among k that pass the double rejection's inner test:
     U proposed from ``_u_envelope``'s table h and kept when
     e = ln g(U) - ln h(U) + E >= 0, E standard exponential.  Returns
-    ln zeta^2, zeta, z and e at the kept ones; given a kept U, e is again
-    standard exponential, and the outer test reuses it."""
+    ln zeta^2, zeta, z and e at the kept ones, in rows 0, 1, 2 and 7 of
+    the thread's work area; given a kept U, e is again standard
+    exponential, and the outer test reuses it."""
     cum, lo, width, log_h, guide = _u_envelope(tau, beta)
-    piece = _guided_piece(rng.random(k), cum, guide)
-    u = lo[piece] + rng.random(k) * width[piece]
-    lz, zeta_u, z, log_g = _u_marginal(u, tau, beta, math.sqrt(tau * beta * (1.0 - beta)))
-    e = rng.standard_exponential(k) + log_g - log_h[piece]
-    keep = np.flatnonzero(e >= 0.0)
-    return lz[keep], zeta_u[keep], z[keep], e[keep]
+    ws = _work(k)
+    rows = ws.rows[:, :k]
+    piece = _guided_piece(rng.random(out=rows[0]), cum, guide, ws)
+    u = rng.random(out=rows[0])
+    u *= width.take(piece, out=rows[2], mode="clip")
+    u += lo.take(piece, out=rows[2], mode="clip")
+    h = log_h.take(piece, out=rows[2], mode="clip")
+    e = rng.standard_exponential(out=rows[3])
+    lz, zeta_u, z, log_g = _u_marginal(u, tau, beta, math.sqrt(tau * beta * (1.0 - beta)), ws)
+    e += log_g
+    e -= h
+    keep = np.greater_equal(e, 0.0, out=ws.mask[:k]).nonzero()[0]
+    j = keep.size
+    return tuple(a.take(keep, out=rows[i, :j], mode="clip")
+                 for a, i in ((lz, 0), (zeta_u, 1), (z, 2), (e, 7)))
 
 
 def _double_rejection_round(tau: float, beta: float, k: int, rng) -> np.ndarray:
@@ -264,31 +348,67 @@ def _double_rejection_round(tau: float, beta: float, k: int, rng) -> np.ndarray:
     ``tau beta zeta^-2 (1+Y)^-b``, mean times a ratio near 1, and the
     tilt term is ``tau zeta^-2 ((1-beta) Y + beta ((1+Y)^-b - 1))``:
     neither carries a power 1/beta, which would cancel as beta -> 0.
+    The draws are row 8 of the thread's work area, valid until its next
+    round.
     """
     lz, zeta_u, z, e = _accepted_u(tau, beta, k, rng)
     sg = math.sqrt(tau * beta * (1.0 - beta))
+    j = e.size
+    ws = _work(j)
+    rows = ws.rows[:, :j]
+    tmp, scratch = rows[1], rows[8]  # zeta_u's row is free once pick is drawn
 
     # X's envelope in Y: half normal of width delta/m left of 0, flat on
     # [0, delta/m], exponential of mean a3/m beyond; masses c1 : 1 : z zeta/sg
-    j = e.size
-    width = beta * zeta_u / sg
-    pick = rng.random(j) * (1.0 + _HALF_PI_ROOT + z * zeta_u / sg)
-    normal, expo = rng.standard_normal(j), rng.exponential(1.0, j)
-    left = np.flatnonzero(pick < _HALF_PI_ROOT)
-    right = np.flatnonzero(pick >= 1.0 + _HALF_PI_ROOT)
-    y = width * (pick - _HALF_PI_ROOT)
-    y[left] = -width[left] * np.abs(normal[left])
-    y[right] = width[right] + z[right] * np.exp(lz[right]) / (tau * (1.0 - beta)) * expo[right]
+    width = np.multiply(zeta_u, beta, out=rows[3])
+    width /= sg
+    pick = np.multiply(z, zeta_u, out=rows[4])
+    pick /= sg
+    pick += 1.0 + _HALF_PI_ROOT
+    pick *= rng.random(out=tmp)
+    normal, expo = rng.standard_normal(out=rows[5]), rng.standard_exponential(out=rows[6])
+    left = np.less(pick, _HALF_PI_ROOT, out=ws.mask[:j]).nonzero()[0]
+    right = np.greater_equal(pick, 1.0 + _HALF_PI_ROOT, out=ws.mask[:j]).nonzero()[0]
+    nl, nr = left.size, right.size
+    pick -= _HALF_PI_ROOT
+    y = np.multiply(pick, width, out=pick)
+    t = width.take(left, out=scratch[:nl], mode="clip")
+    np.negative(t, out=t)
+    t *= np.abs(normal.take(left, out=tmp[:nl], mode="clip"), out=tmp[:nl])
+    y[left] = t
+    t = lz.take(right, out=scratch[:nr], mode="clip")
+    np.exp(t, out=t)
+    jump = z.take(right, out=tmp[:nr], mode="clip")
+    jump *= t
+    jump /= tau * (1.0 - beta)
+    jump *= expo.take(right, out=t, mode="clip")
+    y[right] = np.add(width.take(right, out=t, mode="clip"), jump, out=t)
     b = (1.0 - beta) / beta
     # Y <= -1 has no X: its log is -inf or nan, and its excess never passes
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        log_x = np.log1p(y)
-        excess = tau * np.exp(-lz) * ((1.0 - beta) * y + beta * np.expm1(-b * log_x))
-    normal = normal[left]
-    excess[left] -= 0.5 * normal * normal
-    excess[right] -= expo[right]
-    acc = np.flatnonzero(excess <= e)
-    return tau * beta * np.exp(-b * log_x[acc] - lz[acc])
+        log_x = np.log1p(y, out=rows[2])
+        excess = np.expm1(np.multiply(log_x, -b, out=rows[3]), out=rows[3])
+        excess *= beta
+        excess += np.multiply(y, 1.0 - beta, out=scratch)
+        t = np.exp(np.negative(lz, out=scratch), out=scratch)
+        t *= tau
+        excess *= t
+    normal = normal.take(left, out=scratch[:nl], mode="clip")
+    half_sq = np.multiply(normal, 0.5, out=rows[4, :nl])
+    half_sq *= normal
+    t = excess.take(left, out=tmp[:nl], mode="clip")
+    t -= half_sq
+    excess[left] = t
+    t = excess.take(right, out=tmp[:nr], mode="clip")
+    t -= expo.take(right, out=scratch[:nr], mode="clip")
+    excess[right] = t
+    acc = np.less_equal(excess, e, out=ws.mask[:j]).nonzero()[0]
+    n = acc.size
+    x = np.multiply(log_x.take(acc, out=scratch[:n], mode="clip"), -b, out=scratch[:n])
+    x -= lz.take(acc, out=tmp[:n], mode="clip")
+    np.exp(x, out=x)
+    x *= tau * beta
+    return x
 
 
 def sample_one_sided(p: OneSidedParams, t: float, rng, size=None):
@@ -299,7 +419,8 @@ def sample_one_sided(p: OneSidedParams, t: float, rng, size=None):
     is at most ``_KANTER_MAX_TILT``, and Devroye's double rejection above
     it; the law of ``lam X`` depends on tau and beta only.  Draws whose
     mean or tilt leaves the float range are a ``DomainError``.
-    ``size=None`` returns a scalar.
+    ``size=None`` returns a scalar.  ``rng`` is a ``numpy.random.Generator``:
+    the double rejection draws into its work area with ``out=``.
     """
     if not (0.0 < t < math.inf):
         raise DomainError(f"time must be positive and finite, got {t}")
@@ -323,7 +444,12 @@ def sample_one_sided(p: OneSidedParams, t: float, rng, size=None):
     if tau <= _KANTER_MAX_TILT:
         what, propose = "tilted Kanter rejection", lambda k: _kanter_round(c, beta, lam, k, rng)
     else:
-        what, propose = "double rejection", lambda k: _double_rejection_round(tau, beta, k, rng) / lam
+        def propose(k):
+            x = _double_rejection_round(tau, beta, k, rng)
+            x /= lam  # in place: x is a view of the work area
+            return x
+
+        what = "double rejection"
     out = _rejection_fill(propose, n, what + f" (tilt {tau:.3g}, beta={beta})")
     return float(out[0]) if size is None else out
 

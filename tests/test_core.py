@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import gamma as G
 
 import tempstable as ts
-from tempstable import DomainError, OneSidedParams, TemperedStableParams
+from tempstable import DomainError, OneSidedParams, TemperedStableParams, core
 
 from conftest import (
     cumulant_scale,
@@ -44,6 +44,11 @@ class TestCgfOneSided:
         ts.cgf_one_sided(OneSidedParams(1.0, 0.5, 1.0), 1.0)
         with pytest.raises(DomainError):
             ts.cgf_one_sided(OneSidedParams(1.0, 0.0, 1.0), 1.0)
+        # the next float past the rate, on the scalar path of either type
+        for beta in (0.0, 0.5):
+            for z in (math.nextafter(2.0, math.inf), np.float64(math.nextafter(2.0, math.inf))):
+                with pytest.raises(DomainError, match="cgf requires z"):
+                    ts.cgf_one_sided(OneSidedParams(1.0, beta, 2.0), z)
 
 
 def _decimal_cgf_one_sided(alpha, beta, lam, z):
@@ -73,6 +78,27 @@ def test_cgf_one_sided_matches_decimal_reference(alpha, beta, lam, s):
     got = ts.cgf_one_sided(OneSidedParams(alpha, beta, lam), z)
     ref = _decimal_cgf_one_sided(alpha, beta, lam, z)
     assert abs(got - ref) <= 1e-13 * abs(ref) + 1e-300, (got, ref)
+
+
+@settings(derandomize=True, max_examples=1000, deadline=None)
+@given(alpha=st.floats(1e-6, 1e6), beta=st.one_of(st.just(0.0), st.floats(1e-9, 0.999)),
+       lam=st.floats(1e-3, 1e3),
+       s=st.one_of(st.floats(-10.0, 1.0), st.just(1.0), st.floats(0.4, 0.6)),
+       scalar=st.sampled_from([float, np.float64]))
+def test_scalar_leg_exponent_is_the_array_path(alpha, beta, lam, s, scalar):
+    # a real scalar z takes its own path; it must give the array path's bits,
+    # on both sides of w = -z/lam = -1/2 and at the closed end z = lam
+    z = scalar(lam * s)
+    if beta == 0.0 and z == lam:
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = core.leg_exponent(alpha, beta, lam, z)
+    want = core.leg_exponent(alpha, beta, lam, np.array([z]))[0]
+    assert type(got) is np.float64
+    assert got.tobytes() == want.tobytes(), (got, want)
+    if z == lam:
+        assert math.isfinite(got)
 
 
 class TestCgf:

@@ -1,5 +1,7 @@
 import hashlib
 import math
+import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -296,6 +298,64 @@ def test_double_rejection_round_matches_the_plain_form(tau, beta):
         got = simulate._double_rejection_round(tau, beta, k, np.random.default_rng(k))
         want = _reference_round(tau, beta, k, np.random.default_rng(k))
         assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("tau, beta", [(2.5, 0.2), (13.0, 0.5), (1e10, 0.999)])
+def test_work_area_carries_nothing_between_rounds(tau, beta):
+    # small rounds after a large one see its values in the thread's work rows
+    for k in (20_000, 1, 1000):
+        got = simulate._double_rejection_round(tau, beta, k, np.random.default_rng(k)).copy()
+        want = _reference_round(tau, beta, k, np.random.default_rng(k))
+        assert got.tobytes() == want.tobytes()
+
+
+def test_threads_draw_as_serial_calls():
+    # each thread has its own work area: concurrent draws equal serial ones
+    legs = [OneSidedParams(tau * 0.4 / G(0.6), 0.4, 1.0) for tau in (2.5, 13.0, 130.0, 1e4)]
+    sizes = (20_000, 1000, 50_000, 3)
+
+    def draws(leg, seed):
+        rng = np.random.default_rng(seed)
+        return [ts.sample_one_sided(leg, 1.0, rng, size=n) for n in sizes * 3]
+
+    serial = [draws(leg, seed) for seed, leg in enumerate(legs)]
+    start = threading.Barrier(len(legs))
+    concurrent = [None] * len(legs)
+
+    def run(i):
+        start.wait()
+        concurrent[i] = draws(legs[i], i)
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(len(legs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for want, got in zip(serial, concurrent):
+        assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
+
+
+@pytest.mark.parametrize("tau, beta", [(2.5, 0.2), (13.0, 0.4), (1e4, 0.8)])
+def test_warm_round_allocates_only_index_lists(tau, beta):
+    # the work rows are reused, so a round allocates only its index lists, of
+    # at most 2k intp at once; a round that made its own temporaries (about
+    # 2.3 MB here) fails this
+    k = 20_000
+    rng = np.random.default_rng(7)
+    simulate._double_rejection_round(tau, beta, k, rng)
+    tracemalloc.start()
+    try:
+        simulate._double_rejection_round(tau, beta, k, rng)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 8 * k
 
 
 def _kernel_digest():
