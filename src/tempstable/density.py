@@ -150,12 +150,8 @@ class DensityEvaluator:
             start, size = start + size, 2 * size
         phi = self._phi = np.concatenate(parts)  # a copy: no block outlives the plan
         phi[0] *= 0.5  # half weight at the origin of the half-line rule
-        k = self._support = phi.size
-        # the support as a b x a matrix, node j b + i in row i, column j,
-        # for pdf's factored sum
-        b = math.isqrt(k - 1) + 1  # k >= 1: node 0 carries |phi| = 1/2
-        a = -(-k // b)
-        self._blocks = np.pad(phi, (0, a * b - k)).reshape(a, b).T
+        self._support = phi.size
+        self._blocks = _factored_blocks(phi)  # never empty: node 0 carries |phi| = 1/2
 
     # -- evaluation -------------------------------------------------------
 
@@ -208,23 +204,9 @@ class DensityEvaluator:
         chunk = int(4e6) // sum(self._blocks.shape)
         for i in range(0, inside.size, chunk):
             idx = inside[i:i + chunk]
-            out[idx] = (self._dz / math.pi) * self._fourier_sum(xs[idx], self._blocks)
+            out[idx] = (self._dz / math.pi) * _fourier_sum(xs[idx], self._blocks, self._dz)
         out = np.maximum(out, 0.0).reshape(shape)
         return float(out) if not shape else out
-
-    def _fourier_sum(self, x, blocks: np.ndarray):
-        """Re sum_k c_k e^(-i x k dz) over the support, scalar or 1-d x, for
-        c_k in row i, column j of ``blocks`` with k = j b + i.  This is
-        sum_j e^(-i x j b dz) sum_i e^(-i x i dz) c_k: a + b exponentials
-        per point and one matrix product, against a b for the direct sum."""
-        b, a = blocks.shape
-        kern = np.multiply.outer(x, -1j * self._dz * np.arange(b))
-        part = np.exp(kern, out=kern) @ blocks
-        del kern  # the chunk's largest array, freed before the next ones
-        theta = np.multiply.outer(x, (b * self._dz) * np.arange(a))
-        # Re(e^(-i theta) part), summed over j
-        return (np.einsum("...j,...j->...", np.cos(theta), part.real)
-                + np.einsum("...j,...j->...", np.sin(theta), part.imag))
 
     def cdf_grid(self) -> tuple[np.ndarray, np.ndarray]:
         """Cumulative trapezoid of ``grid()``'s density, clipped to [0, 1]."""
@@ -253,7 +235,33 @@ class DensityEvaluator:
         lo, hi = g.x[max(i - 1, 0)], g.x[min(i + 1, self._n - 1)]
         b, a = self._blocks.shape
         slope = self._blocks * (-1j * self._dz * np.arange(a * b).reshape(a, b).T)
-        return float(_increasing_root(lambda x: -self._fourier_sum(x, slope), lo, hi)[0])
+        return float(_increasing_root(lambda x: -_fourier_sum(x, slope, self._dz), lo, hi)[0])
+
+
+def _factored_blocks(c: np.ndarray) -> np.ndarray:
+    """The k >= 1 coefficients ``c`` as a b x a matrix for ``_fourier_sum``,
+    c_k in row i, column j with k = j b + i, zero-padded past k."""
+    k = c.size
+    b = math.isqrt(k - 1) + 1
+    a = -(-k // b)
+    return np.pad(c, (0, a * b - k)).reshape(a, b).T
+
+
+def _fourier_sum(x, blocks: np.ndarray, dz: float, product=np.matmul):
+    """Re sum_k c_k e^(-i x k dz), scalar or 1-d x, for the coefficients laid
+    out by ``_factored_blocks``.  This is sum_j e^(-i x j b dz) sum_i
+    e^(-i x i dz) c_k: a + b exponentials per point and one matrix product,
+    against a b for the direct sum.  The density's ``pdf`` and ``mode`` and
+    the Fourier call price all sum through it; ``product`` forms that
+    matrix product."""
+    b, a = blocks.shape
+    kern = np.multiply.outer(x, -1j * dz * np.arange(b))
+    part = product(np.exp(kern, out=kern), blocks)
+    del kern  # the chunk's largest array, freed before the next ones
+    theta = np.multiply.outer(x, (b * dz) * np.arange(a))
+    # Re(e^(-i theta) part), summed over j
+    return (np.einsum("...j,...j->...", np.cos(theta), part.real)
+            + np.einsum("...j,...j->...", np.sin(theta), part.imag))
 
 
 def pdf(p: TemperedStableParams, x, settings: InversionSettings | None = None):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import tempstable.pricing as pricing
 from tempstable import OneSidedParams, TemperedStableParams
 
 
@@ -19,6 +20,12 @@ EMPTY_CURVE_LAWS = [
     (874204.6179464337, 1e-9, 0.001, 1e-6, 1e-9, 406.91509968373884),
     (752172.5427470368, 0.999, 766.0144946962084, 860691.4795350108, 0.999, 292.7048263797398),
 ]
+
+
+def clear_pricing_caches():
+    """Empty the Fourier pricer's plan and transform caches."""
+    pricing._contour_plan.cache_clear()
+    pricing._weighted_transform.cache_clear()
 
 
 def levy_cgf_one_sided(alpha, beta, lam, z):

@@ -10,7 +10,7 @@ import pytest
 from click.testing import CliRunner
 
 import tempstable as ts
-from conftest import EMPTY_CURVE_LAWS, csv_17g
+from conftest import EMPTY_CURVE_LAWS, clear_pricing_caches, csv_17g
 from tempstable import ConvergenceError, TempStableError
 from tempstable.cli import main
 
@@ -416,6 +416,25 @@ def test_price_runs_the_quadrature_once(runner, tmp_path, skewed_tight, monkeypa
     assert out["nu"] == ts.default_contour(pq)
     assert out["price"] == ts.call_price_fourier(pq, market, option, out["nu"])
     assert out["put"] == ts.put_price(pq, market, option, out["nu"])
+
+
+def test_price_prints_the_library_bits_on_a_cache_hit_and_miss(runner, tmp_path, skewed_tight):
+    import tempstable.pricing as pricing
+
+    pq = ts.esscher_martingale(skewed_tight, 0.04, 0.01).new_params
+    path = tmp_path / "pq.json"
+    ts.save_params(pq, path)
+    args = ["price", "--params", str(path), "--s0", "100", "--r", "0.04", "--q", "0.01",
+            "--strike", "97", "--maturity", "0.5"]
+    market, option = ts.MarketConfig(100.0, 0.04, 0.01), ts.OptionSpec(97.0, 0.5)
+    clear_pricing_caches()
+    cold_cli = _invoke_json(runner, args)["price"]  # a miss
+    hit = ts.call_price_fourier(pq, market, option)
+    clear_pricing_caches()
+    cold = ts.call_price_fourier(pq, market, option)
+    hit_cli = _invoke_json(runner, args)["price"]
+    assert pricing._weighted_transform.cache_info().hits >= 1
+    assert cold_cli == hit == cold == hit_cli
 
 
 def test_simulate_huge_tilt_law_exits_0(runner, tmp_path):

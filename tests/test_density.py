@@ -1,7 +1,11 @@
+import hashlib
+import importlib
 import math
+import sys
 import tracemalloc
 import warnings
 from dataclasses import astuple
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -226,6 +230,43 @@ class TestFactoredSum:
             tracemalloc.stop()
         assert peak < 96e6
         assert np.all(np.isfinite(vals)) and np.all(vals > 0.0)
+
+
+def _kernel_digest():
+    # the float64 kernels the transform, the FFT and the factored sum use;
+    # numpy's SIMD dispatch may round them differently on another CPU
+    x = np.linspace(1e-3, 3.0, 1001)
+    w = np.exp(1j * x) * x
+    parts = [np.log(x), np.log1p(x), np.expm1(-x), np.tan(x), np.arctan(x), np.exp(w),
+             np.cos(x), np.sin(x), np.fft.fft(w), w[:992].reshape(31, 32) @ w[:32],
+             np.einsum("...j,...j->...", np.cos(x), np.sin(x))]
+    return hashlib.sha256(b"".join(p.tobytes() for p in parts)).hexdigest()
+
+
+def _density_digest():
+    # pdf at 256 points of the grid's window and mode() on the README law
+    # and the 49 other laws of the density benchmark's seed 101
+    bench = str(Path(__file__).resolve().parents[1] / "bench")
+    sys.path.insert(0, bench)
+    try:
+        workloads = importlib.import_module("workloads")
+    finally:
+        sys.path.remove(bench)
+    digest = hashlib.sha256()
+    for law in workloads.density_inputs(101, 50):
+        ev = ts.DensityEvaluator(law)
+        g = ev.grid()
+        digest.update(ev.pdf(np.linspace(g.x[0], g.x[-1], 256)).tobytes())
+        digest.update(np.float64(ev.mode()).tobytes())
+    return digest.hexdigest()
+
+
+def test_factored_sum_bits_are_pinned():
+    # SHA-256 of the bits from before the factored sum became the kernel
+    # that pricing shares (2-CPU x86-64 with AVX-512, numpy 2.4.6)
+    if _kernel_digest() != "6c3e71f5da7d61b4a53e8059d747e77c3ca87d2644053706e80f2e64067632a9":
+        pytest.skip("float64 kernels round differently from the pinning host's")
+    assert _density_digest() == "911ae4f1f008fd2eac6a9dc44ce95d195eb75ca5d5002838c1ab8df106992956"
 
 
 class TestAgainstPointwiseQuadrature:

@@ -1,5 +1,7 @@
 import math
+import sys
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import tempstable as ts
 import tempstable.pricing as pricing
-from conftest import carr_madan_call
+from conftest import carr_madan_call, clear_pricing_caches
 from tempstable import (ConvergenceError, DomainError, MarketConfig, OptionSpec,
                         TemperedStableParams, TempStableError)
 
@@ -126,6 +128,8 @@ class TestPlannedGrid:
         assert abs(price - oracle) <= 1e-9 * market.s0
 
     def test_slow_log_strike_decay_fails_in_the_plan(self, monkeypatch):
+        # an earlier refusal of this law (CLI price) leaves its plan cached
+        clear_pricing_caches()
         law = TemperedStableParams.create(*SLOW_DECAY_LAW)
         market = MarketConfig(s0=100.0, r=ts.cgf(law, 1.0), q_div=0.0)  # a martingale law
         sizes = []
@@ -165,6 +169,98 @@ class TestConditioning:
         with pytest.raises(ConvergenceError, match="of spot"):
             ts.call_price_fourier(sol.new_params, MarketConfig(100.0, 0.03),
                                   OptionSpec(strike, 1.0))
+
+
+class TestPriceCache:
+    """A price does not depend on what the plan and transform caches hold."""
+
+    @pytest.fixture
+    def options(self, risk_neutral, market):
+        # two laws, three maturities, two heights and strikes on both sides of
+        # spot; the (law, maturity, height) triples outnumber the plan cache
+        c9 = ts.esscher_martingale(TemperedStableParams.create(0.6, 0.4, 4.0, 0.5, 0.5, 3.5),
+                                   market.r, market.q_div).new_params
+        return [(p, OptionSpec(strike, mat), nu)
+                for p in (risk_neutral, c9) for mat in (0.25, 1.0, 3.0)
+                for nu in (None, 1.0 + 0.25 * (p.plus.lam - 1.0))
+                for strike in (60.0, 97.0, 100.0, 150.0)]
+
+    @staticmethod
+    def _prices(options, market, order):
+        return {i: ts.call_price_fourier(options[i][0], market, options[i][1], options[i][2])
+                for i in order}
+
+    def _cold(self, options, market):
+        cold = []
+        for i in range(len(options)):
+            clear_pricing_caches()
+            cold.append(self._prices(options, market, [i])[i])
+        return cold
+
+    def test_warm_prices_are_the_cold_bits(self, options, market):
+        cold = self._cold(options, market)
+        n = len(options)
+        for order in (range(n), range(n - 1, -1, -1), np.random.default_rng(27).permutation(n)):
+            clear_pricing_caches()
+            prices = self._prices(options, market, order)
+            assert [prices[i] for i in range(n)] == cold
+        assert pricing._contour_plan.cache_info().hits > 0
+        assert pricing._weighted_transform.cache_info().hits > 0
+
+    def test_threads_price_the_cold_bits(self, options, market):
+        # more threads than the 2 CPUs of the host the test was written on
+        cold = self._cold(options, market)
+        n = len(options)
+        clear_pricing_caches()
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                runs = [pool.submit(self._prices, options, market, np.roll(np.arange(n), shift))
+                        for shift in (0, 7, 19, 31)]
+                got = [run.result(timeout=120) for run in runs]
+        finally:
+            sys.setswitchinterval(switch)
+        for prices in got:
+            assert [prices[i] for i in range(n)] == cold
+
+    def test_cached_arrays_are_read_only(self, risk_neutral, market):
+        ts.call_price_fourier(risk_neutral, market, OptionSpec(100.0, 1.0))
+        nu = ts.default_contour(risk_neutral)
+        blocks, _ = pricing._weighted_transform(risk_neutral, 1.0, nu, 512)
+        for array in (blocks, *pricing._contour_plan(risk_neutral, 1.0, nu)[3:]):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[(0,) * array.ndim] = 0.0
+
+    def test_refusals_fire_on_a_cache_hit(self, risk_neutral, market):
+        clear_pricing_caches()
+        opt = OptionSpec(100.0, 1.0)
+        ts.call_price_fourier(risk_neutral, market, opt)
+        hits = pricing._contour_plan.cache_info().hits
+        with pytest.warns(RuntimeWarning, match="not a martingale law"):
+            ts.call_price_fourier(risk_neutral, MarketConfig(100.0, 0.0), opt)
+        with pytest.raises(DomainError):
+            ts.call_price_fourier(risk_neutral, market, opt, nu=risk_neutral.plus.lam)
+        assert pricing._contour_plan.cache_info().hits == hits + 1
+        # a cached law, maturity and height, at a strike whose terms reach 2e9
+        # of spot: the check runs before the plan is looked up
+        with pytest.raises(ConvergenceError, match="of spot"):
+            ts.call_price_fourier(risk_neutral, market, OptionSpec(1e-6, 1.0))
+        slow = TemperedStableParams.create(*SLOW_DECAY_LAW)
+        slow_market = MarketConfig(s0=100.0, r=ts.cgf(slow, 1.0), q_div=0.0)
+        for _ in range(2):  # a miss that caches the plan, then a hit
+            with pytest.raises(ConvergenceError, match="pricing grid needs"):
+                ts.call_price_fourier(slow, slow_market, OptionSpec(100.0, 0.29))
+        assert pricing._contour_plan.cache_info().hits == hits + 2
+
+    def test_cache_size_stays_at_its_bound(self, risk_neutral, market):
+        clear_pricing_caches()
+        for mat in np.linspace(0.25, 3.0, 40):
+            ts.call_price_fourier(risk_neutral, market, OptionSpec(100.0, mat))
+        for cached in (pricing._contour_plan, pricing._weighted_transform):
+            info = cached.cache_info()
+            assert info.misses == 40 and info.currsize == info.maxsize
 
 
 _ALPHA = st.floats(1e-6, 1e6)
