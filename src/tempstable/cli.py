@@ -15,6 +15,7 @@ import functools
 import json
 import math
 import sys
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -314,7 +315,9 @@ def fit(data_path, init_path, multistart, tol, max_iter):
     if (init_path is None) == (not multistart):
         raise DomainError("provide exactly one of --init FILE or --multistart")
     try:
-        data = np.loadtxt(data_path, dtype=float, ndmin=1)
+        with warnings.catch_warnings():  # an empty file is refused below as TOO_FEW_OBS
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            data = np.loadtxt(data_path, dtype=float, ndmin=1)
     except ValueError as exc:
         raise DomainError(f"cannot parse observations: {exc}") from exc
     k = _estimate.sample_cumulants(data)
@@ -369,7 +372,7 @@ def diagnose(params_path, as_json):
     if as_json:
         _emit(report)
     else:
-        for key, value in report.items():
+        for key, value in _plain(report).items():
             click.echo(f"{key}: {value}")
 
 

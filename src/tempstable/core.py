@@ -172,10 +172,26 @@ def cumulant(p: TemperedStableParams, n: int) -> float:
     return cumulant_one_sided(p.plus, n) + (-1) ** n * cumulant_one_sided(p.minus, n)
 
 
+_ORDERS = np.arange(1, 7)
+_SIGNS = (-1.0) ** _ORDERS
+
+
+def _leg_kappas(theta) -> tuple:
+    # both legs' first six cumulants, the minus leg's signed, from the raw
+    # vector (a+, b+, l+, a-, b-, l-); no records are built, so the caller
+    # checks the domain
+    ap, bp, lp, am, bm, lm = theta
+    return leg_cumulant(ap, bp, lp, _ORDERS), _SIGNS * leg_cumulant(am, bm, lm, _ORDERS)
+
+
+def _population_kappa(theta) -> np.ndarray:
+    """First six cumulants of the law with parameter vector ``theta``, which
+    the caller keeps inside the parameter domain."""
+    return np.add(*_leg_kappas(theta))
+
+
 def cumulant_vector(p: TemperedStableParams) -> CumulantVector:
-    n = np.arange(1, 7)
-    return CumulantVector(tuple(cumulant_one_sided(p.plus, n)
-                                + (-1.0) ** n * cumulant_one_sided(p.minus, n)))
+    return CumulantVector(tuple(_population_kappa(p.as_tuple())))
 
 
 def moment_stats(p: TemperedStableParams) -> MomentStats:
@@ -198,14 +214,6 @@ def moment_stats(p: TemperedStableParams) -> MomentStats:
             "cumulants, squared variance or their ratios are not finite"
         )
     return MomentStats(mean=k1, variance=k2, skewness=skewness, kurtosis=3.0 + excess)
-
-
-def mean(p: TemperedStableParams) -> float:
-    return cumulant(p, 1)
-
-
-def std(p: TemperedStableParams) -> float:
-    return math.sqrt(cumulant(p, 2))
 
 
 def convolve(p1: TemperedStableParams, p2: TemperedStableParams) -> TemperedStableParams:

@@ -30,13 +30,12 @@ from .core import (
     cf,
     cgf,
     cgf_one_sided,
+    cumulant,
     cumulant_one_sided,
     log_cf,
-    mean,
-    std,
 )
 from .errors import ConvergenceError, DomainError
-from .measure import _increasing_root
+from .measure import _increasing_root, _require_positive_betas
 from .params import OneSidedParams, TemperedStableParams
 
 
@@ -99,7 +98,6 @@ class DensityEvaluator:
     def __init__(self, p: TemperedStableParams, settings: InversionSettings | None = None):
         self.params = p
         self.settings = settings or InversionSettings()
-        self._mu, self._sigma = mean(p), std(p)
         self._grid = None
         self._cdf_table = None
         self._plan()
@@ -108,12 +106,13 @@ class DensityEvaluator:
 
     def _plan(self) -> None:
         s = self.settings
-        x_lo = self._mu - s.extent_sd * self._sigma
-        span = (self._mu + s.extent_sd * self._sigma) - x_lo
+        mu, sigma = cumulant(self.params, 1), math.sqrt(cumulant(self.params, 2))
+        x_lo = mu - s.extent_sd * sigma
+        span = (mu + s.extent_sd * sigma) - x_lo
         dz = 2.0 * math.pi / span
 
         # the first extent z_first 2^j, j = 0..80, where |phi| is below the floor
-        z_first = max(16.0 / self._sigma, 4.0 * (self.params.plus.lam + self.params.minus.lam))
+        z_first = max(16.0 / sigma, 4.0 * (self.params.plus.lam + self.params.minus.lam))
         z_try = z_first * 2.0 ** np.arange(81)
         below = np.flatnonzero(log_cf(self.params, z_try).real < math.log(s.cf_floor))
         if not below.size:
@@ -233,8 +232,7 @@ class DensityEvaluator:
         g = self.grid()
         i = int(np.argmax(g.pdf))
         lo, hi = g.x[max(i - 1, 0)], g.x[min(i + 1, self._n - 1)]
-        b, a = self._blocks.shape
-        slope = self._blocks * (-1j * self._dz * np.arange(a * b).reshape(a, b).T)
+        slope = _factored_blocks(self._phi * (-1j * self._dz * np.arange(self._support)))
         return float(_increasing_root(lambda x: -_fourier_sum(x, slope, self._dz), lo, hi)[0])
 
 
@@ -298,8 +296,11 @@ def mode_fixed_point(p: OneSidedParams) -> float:
 
 def _one_sided_bracket(p: OneSidedParams) -> ModeBracket:
     xi0 = mode_fixed_point(p)  # refuses beta outside (0, 1)
-    m1 = cumulant_one_sided(p, 1)
-    v = cumulant_one_sided(p, 2)
+    with np.errstate(over="ignore", divide="ignore"):  # an infinite v only drops its bound
+        m1 = cumulant_one_sided(p, 1)
+        v = cumulant_one_sided(p, 2)
+    if m1 == math.inf:
+        raise DomainError("the mode bracket overflows for this law: its mean is not finite")
     lower = max(m1 - math.sqrt(3.0 * v), xi0)
     # (alpha / (1 - beta))^(1/beta) overflows for small beta; compare logs
     log_cap = (math.log(p.alpha) - math.log1p(-p.beta)) / p.beta
@@ -346,7 +347,7 @@ def tail_constant_one_sided(p: OneSidedParams) -> float:
     """Constant C in g(x) ~ C e^(-lambda x) / x^(1+beta) as x -> infinity."""
     if not (0.0 < p.beta < 1.0):
         raise DomainError("tail constant requires beta in (0, 1)")
-    return _scaled_exp(p.alpha, cgf_one_sided(p, p.lam))
+    return _scaled_exp("tail constant", p.alpha, cgf_one_sided(p, p.lam))
 
 
 def tail_constant(p: TemperedStableParams) -> float:
@@ -355,19 +356,18 @@ def tail_constant(p: TemperedStableParams) -> float:
     Gamma legs are rejected: the boundary case has a polynomially
     corrected tail of a different shape.
     """
-    if not (0.0 < p.plus.beta < 1.0 and 0.0 < p.minus.beta < 1.0):
-        raise DomainError("tail constant requires both stability legs in (0, 1)")
-    return _scaled_exp(p.plus.alpha, cgf(p, p.plus.lam))
+    _require_positive_betas(p, "tail constant")
+    return _scaled_exp("tail constant", p.plus.alpha, cgf(p, p.plus.lam))
 
 
-def _scaled_exp(alpha: float, exponent: float) -> float:
-    # alpha * e^exponent, with a typed error where it leaves the float range
+def _scaled_exp(what: str, scale: float, exponent: float) -> float:
+    # scale * e^exponent, with a typed error where it leaves the float range
     try:
-        c = alpha * math.exp(exponent)
+        c = scale * math.exp(exponent)
     except OverflowError:
         c = math.inf
     if not math.isfinite(c):
         raise DomainError(
-            f"tail constant overflows for this law: alpha * exp({exponent:.6g}) is not finite"
+            f"{what} overflows for this law: {scale:.6g} * exp({exponent:.6g}) is not finite"
         )
     return c

@@ -17,9 +17,10 @@ import numpy as np
 from scipy.optimize import root
 from scipy.special import digamma, gamma as _gamma, gammaln
 
-from .core import leg_cumulant
+from .core import _ORDERS, _leg_kappas, _population_kappa as population_kappa
 from .errors import DomainError, InfeasibleCumulantsError
 from .limits import alpha_pair_for_moments
+from .measure import _require_positive_betas
 from .params import CumulantVector, OneSidedParams, TemperedStableParams
 
 _LOGIT_CLIP = 30.0
@@ -112,15 +113,11 @@ def fit_one_sided(k) -> OneSidedParams:
 # -- six-parameter moment solve ----------------------------------------------
 
 
-_J = np.arange(1, 7)
-_SIGN = (-1.0) ** _J
-
-
 def _row_weights(theta) -> np.ndarray:
     # s_j = (l+)^(j-b+) (l-)^(j-b-), the lambda powers that clear G's denominators
     TemperedStableParams.create(*theta)  # a typed error outside the domain
     _, bp, lp, _, bm, lm = theta
-    return lp ** (_J - bp) * lm ** (_J - bm)
+    return lp ** (_ORDERS - bp) * lm ** (_ORDERS - bm)
 
 
 def two_sided_G(kappa, theta) -> np.ndarray:
@@ -129,13 +126,6 @@ def two_sided_G(kappa, theta) -> np.ndarray:
     G_j = (kappa_j(theta) - kappa_hat_j) (l+)^(j-b+) (l-)^(j-b-),  j = 1..6.
     """
     return _row_weights(theta) * (population_kappa(theta) - _kappa_of(kappa)[:6])
-
-
-def _leg_kappas(theta) -> tuple:
-    # both legs' first six cumulants, the minus leg's signed; no records
-    # are built, so the caller checks the domain
-    ap, bp, lp, am, bm, lm = theta
-    return leg_cumulant(ap, bp, lp, _J), _SIGN * leg_cumulant(am, bm, lm, _J)
 
 
 def _mismatch_jacobian(kappa, theta) -> np.ndarray:
@@ -147,7 +137,7 @@ def _mismatch_jacobian(kappa, theta) -> np.ndarray:
     resid = k_plus + k_minus - _kappa_of(kappa)[:6]
     cols = []
     for (alpha, beta, lam), k in ((theta[:3], k_plus), (theta[3:], k_minus)):
-        e, log_lam = _J - beta, math.log(lam)
+        e, log_lam = _ORDERS - beta, math.log(lam)
         cols += [k / alpha, log_lam * (k - resid) - k * digamma(e), e * (resid - k) / lam]
     return np.array(cols).T
 
@@ -156,12 +146,6 @@ def two_sided_jacobian(kappa, theta) -> np.ndarray:
     """Analytic Jacobian of ``two_sided_G`` in the parameter vector, at an
     arbitrary point (not just at a root)."""
     return _row_weights(theta)[:, None] * _mismatch_jacobian(kappa, theta)
-
-
-def population_kappa(theta) -> np.ndarray:
-    """First six cumulants of the law with parameter vector ``theta``, which
-    the caller keeps inside the parameter domain."""
-    return np.add(*_leg_kappas(theta))
 
 
 def _to_unconstrained(theta) -> np.ndarray:
@@ -177,16 +161,6 @@ def _from_unconstrained(u) -> tuple:
     expit = lambda v: 1.0 / (1.0 + math.exp(-v))
     return (math.exp(a_p), expit(b_p), math.exp(l_p),
             math.exp(a_m), expit(b_m), math.exp(l_m))
-
-
-def _validate_init(init: TemperedStableParams) -> None:
-    for leg in (init.plus, init.minus):
-        if not (0.0 < leg.beta < 1.0):
-            raise DomainError(
-                "the six-parameter solve works on the open domain with "
-                "stability legs in (0, 1); Gamma-boundary data belongs to "
-                "the closed-form one-sided estimator"
-            )
 
 
 def _validate(k, tol: float, max_iter: int) -> np.ndarray:
@@ -238,8 +212,8 @@ def fit_two_sided(k, init: TemperedStableParams,
     with ``converged=False``.
     """
     kappa = _validate(k, tol, max_iter)
-    _validate_init(init)
-    scale = np.maximum(np.abs(kappa), kappa[1] ** (np.arange(1, 7) / 2.0))
+    _require_positive_betas(init, "the six-parameter solve")
+    scale = np.maximum(np.abs(kappa), kappa[1] ** (_ORDERS / 2.0))
     fun, jac = _scaled_system(kappa, scale)
 
     u_init = _to_unconstrained(np.array(init.as_tuple()))

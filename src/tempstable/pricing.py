@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import cgf, log_cf, marginal
-from .density import _factored_blocks, _fourier_sum
+from .density import _factored_blocks, _fourier_sum, _scaled_exp
 from .errors import ConvergenceError, DomainError
 from .measure import EsscherPair, bilateral_esscher, check_market
 from .params import TemperedStableParams
@@ -191,7 +191,7 @@ def mc_call_price(p_q: TemperedStableParams, market: MarketConfig,
         raise DomainError("need at least 1000 paths for a meaningful estimate")
     if not seed >= 0:
         raise DomainError(f"seed must be nonnegative, got {seed}")
-    forward = market.s0 * math.exp(option.maturity * cgf(p_q, 1.0))
+    forward = _scaled_exp("the forward", market.s0, option.maturity * cgf(p_q, 1.0))
     x_plus, x_minus = (sample_one_sided(leg, option.maturity, rng, size=n_paths)
                        for leg, rng in zip((p_q.plus, p_q.minus), leg_generators(seed)))
     s_t = market.s0 * np.exp(x_plus - x_minus)

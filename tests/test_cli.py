@@ -105,6 +105,56 @@ def test_diagnose_at_the_normal_limit_exits_0(runner, tmp_path):
     assert 0.0 < report["berry_esseen_bound"] < 1e-7
 
 
+@pytest.mark.parametrize("text", ["", "# a header\n# and nothing else\n"], ids=["empty", "comments"])
+def test_fit_on_a_file_without_data_prints_only_the_error(runner, tmp_path, text):
+    data = tmp_path / "obs.csv"
+    data.write_text(text)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = runner.invoke(main, ["fit", str(data), "--multistart"])
+    assert result.exit_code == 2
+    assert result.stderr.splitlines() == ["error TOO_FEW_OBS: need at least 7 observations, got 0"]
+    assert caught == []
+
+
+def test_diagnose_text_report_prints_plain_values(runner, tmp_path):
+    for law, bracket in (((1.0, 0.3, 3.0, 2.0, 0.6, 4.0),
+                          "{'lower': -2.54799621903543, 'upper': 0.6016006923279933}"),
+                         ((1.0, 0.0, 3.0, 2.0, 0.0, 4.0), "None")):
+        path = tmp_path / "law.json"
+        ts.save_params(ts.TemperedStableParams.create(*law), path)
+        text = runner.invoke(main, ["diagnose", "--params", str(path)])
+        assert text.exit_code == 0, text.output
+        report = json.loads(runner.invoke(main, ["diagnose", "--params", str(path), "--json"]).stdout)
+        assert text.stdout.splitlines() == [f"{key}: {value}" for key, value in report.items()]
+        assert f"mode_bracket: {bracket}" in text.stdout.splitlines()
+
+
+def _refusal(result):
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    [line] = result.stderr.splitlines()
+    assert line.startswith("error PARAM_DOMAIN: ")
+
+
+def test_diagnose_refuses_a_one_sided_parameter_file(runner, tmp_path):
+    path = tmp_path / "leg.json"
+    ts.save_params(ts.OneSidedParams(1.0, 0.3, 3.0), path)
+    _refusal(runner.invoke(main, ["diagnose", "--params", str(path)]))
+
+
+def test_fit_refuses_unparsable_observations(runner, tmp_path):
+    data = tmp_path / "obs.csv"
+    data.write_text("0.1\n-0.2\nabc\n")
+    _refusal(runner.invoke(main, ["fit", str(data), "--multistart"]))
+
+
+@pytest.mark.parametrize("grid", ["0.5,x", ",,"], ids=["non-number", "only-commas"])
+def test_measure_curve_refuses_a_bad_theta_grid(runner, params_file, grid):
+    _refusal(runner.invoke(main, ["measure", "curve", "--params", params_file, "--r", "0.04",
+                                  "--theta-grid", grid]))
+
+
 def test_fit_requires_exactly_one_start_mode(runner, tmp_path):
     data = tmp_path / "obs.csv"
     data.write_text("\n".join(str(v) for v in np.linspace(-1, 1, 20)) + "\n")

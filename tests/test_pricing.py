@@ -327,6 +327,16 @@ class TestMonteCarloPricer:
         with pytest.raises(DomainError):
             ts.mc_call_price(risk_neutral, market, OptionSpec(100.0, 1.0), 10, seed=1)
 
+    def test_overflowing_forward_is_domain_error(self, market):
+        # on the README law's Esscher measure T Psi(1) = T (r - q) is 900 at
+        # T = 3e4, past exp's range
+        sol = ts.esscher_martingale(TemperedStableParams.create(1.0, 0.3, 3.0, 2.0, 0.6, 4.0),
+                                    market.r, market.q_div)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="the forward overflows"):
+                ts.mc_call_price(sol.new_params, market, OptionSpec(105.0, 3e4), 1000, seed=1)
+
 
 class TestPut:
     def test_parity_identity(self, risk_neutral, market):
