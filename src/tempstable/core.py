@@ -152,10 +152,28 @@ def cf(p: TemperedStableParams, z):
     return np.exp(out, out=out)
 
 
-def leg_cumulant(alpha: float, beta: float, lam: float, n):
-    """One leg's n-th cumulant, for integer or integer-array n and raw
-    rates; the caller checks the domain."""
-    return _gamma(n - beta) * alpha / lam ** (n - beta)
+_LOG_MAX = math.log(np.finfo(float).max)
+
+
+def _leg_term(g, alpha: float, e: float, lam: float):
+    # g alpha / lam^e for g = Gamma(e), in logs where lam^e leaves the
+    # float range; 0 or inf past it, without a warning or OverflowError
+    try:
+        d = lam**e
+    except OverflowError:
+        d = math.inf
+    if 0.0 < d < math.inf:
+        return g * alpha / d
+    x = math.log(g) + math.log(alpha) - e * math.log(lam)
+    return math.exp(x) if x < _LOG_MAX else math.inf
+
+
+def leg_cumulant(alpha: float, beta: float, lam: float, n: int) -> np.float64:
+    """One leg's n-th cumulant Gamma(n - beta) alpha / lam^(n - beta) for
+    raw rates; the caller checks the domain.  Where lam^(n - beta) leaves
+    the float range it is exp(ln Gamma + ln alpha - (n - beta) ln lam)."""
+    e = n - beta
+    return np.float64(_leg_term(_gamma(e), alpha, e, lam))
 
 
 def cumulant_one_sided(p: OneSidedParams, n: int) -> float:
@@ -173,42 +191,59 @@ def cumulant(p: TemperedStableParams, n: int) -> float:
 
 
 _ORDERS = np.arange(1, 7)
-_SIGNS = (-1.0) ** _ORDERS
+_SIGNS = (-1.0, 1.0, -1.0, 1.0, -1.0, 1.0)  # (-1)^n
 
 
 def _leg_kappas(theta) -> tuple:
-    # both legs' first six cumulants, the minus leg's signed, from the raw
-    # vector (a+, b+, l+, a-, b-, l-); no records are built, so the caller
-    # checks the domain
+    """Both legs' first six cumulants, the minus leg's signed, as lists of
+    Python floats, and the twelve orders n - b+, n - b-, from a raw vector
+    (a+, b+, l+, a-, b-, l-) of Python floats; the caller checks the
+    domain.  One gamma call on the orders (scipy gives a scalar call's
+    bits), then ``leg_cumulant``'s formula with Python's pow, which numpy's
+    array pow rounds apart from on about one input in 20: the legs' sum is
+    ``cumulant(p, n)`` bit for bit."""
     ap, bp, lp, am, bm, lm = theta
-    return leg_cumulant(ap, bp, lp, _ORDERS), _SIGNS * leg_cumulant(am, bm, lm, _ORDERS)
+    e = (1.0 - bp, 2.0 - bp, 3.0 - bp, 4.0 - bp, 5.0 - bp, 6.0 - bp,
+         1.0 - bm, 2.0 - bm, 3.0 - bm, 4.0 - bm, 5.0 - bm, 6.0 - bm)
+    g = _gamma(e).tolist()
+    try:
+        return ([x * ap / lp**y for x, y in zip(g[:6], e[:6])],
+                [s * x * am / lm**y for s, x, y in zip(_SIGNS, g[6:], e[6:])], e)
+    except (OverflowError, ZeroDivisionError):  # a power past the float range
+        return ([_leg_term(x, ap, y, lp) for x, y in zip(g[:6], e[:6])],
+                [s * _leg_term(x, am, y, lm) for s, x, y in zip(_SIGNS, g[6:], e[6:])], e)
 
 
 def _population_kappa(theta) -> np.ndarray:
     """First six cumulants of the law with parameter vector ``theta``, which
-    the caller keeps inside the parameter domain."""
-    return np.add(*_leg_kappas(theta))
+    the caller keeps inside the parameter domain; ``cumulant`` bit for bit."""
+    k_plus, k_minus, _ = _leg_kappas(list(map(float, theta)))
+    return np.array([p + m for p, m in zip(k_plus, k_minus)])
 
 
 def cumulant_vector(p: TemperedStableParams) -> CumulantVector:
-    return CumulantVector(tuple(_population_kappa(p.as_tuple())))
+    """The first six cumulants; a DomainError where one leaves the float range."""
+    kappa = _population_kappa(p.as_tuple())
+    if not np.isfinite(kappa).all():
+        raise DomainError(f"the cumulants of this law leave the float range: {kappa.tolist()}")
+    return CumulantVector(tuple(kappa))
 
 
 def moment_stats(p: TemperedStableParams) -> MomentStats:
     """Mean, variance, Charliers skewness and kurtosis from the cumulants.
 
     Raises DomainError when a cumulant or a ratio of them overflows the
-    float range, instead of passing inf or nan on.
+    float range, instead of passing inf or nan on, and where a leg's rate
+    power lam^(n - beta), n <= 4, overflows it (lam from about 1e100).
     """
-    try:
-        with np.errstate(all="ignore"):
-            k1, k2, k3, k4 = (cumulant(p, n) for n in range(1, 5))
-            k2_sq = k2**2
-            skewness, excess = k3 / k2**1.5, k4 / k2_sq
-        finite = all(math.isfinite(v) for v in (k1, k2, k3, k4, k2_sq, skewness, excess))
-    except OverflowError:  # Python float powers of an extreme rate
-        finite = False
-    if not finite:
+    if max((4.0 - leg.beta) * math.log(leg.lam) for leg in (p.plus, p.minus)) > _LOG_MAX:
+        raise DomainError("moment statistics overflow for this law: a rate power "
+                          "lambda^(n - beta), n <= 4, leaves the float range")
+    with np.errstate(all="ignore"):
+        k1, k2, k3, k4 = (cumulant(p, n) for n in range(1, 5))
+        k2_sq = k2**2
+        skewness, excess = k3 / k2**1.5, k4 / k2_sq
+    if not all(math.isfinite(v) for v in (k1, k2, k3, k4, k2_sq, skewness, excess)):
         raise DomainError(
             "moment statistics overflow for this law: its first four "
             "cumulants, squared variance or their ratios are not finite"
@@ -256,6 +291,11 @@ def marginal(p: TemperedStableParams, t: float) -> TemperedStableParams:
 
 
 def third_moment_one_sided(p: OneSidedParams) -> float:
-    """Third raw moment of a one-sided law, k1^3 + 3 k1 k2 + k3."""
-    k1, k2, k3 = (cumulant_one_sided(p, n) for n in (1, 2, 3))
-    return k1**3 + 3.0 * k1 * k2 + k3
+    """Third raw moment of a one-sided law, k1^3 + 3 k1 k2 + k3; a
+    DomainError where it leaves the float range."""
+    with np.errstate(all="ignore"):
+        k1, k2, k3 = (cumulant_one_sided(p, n) for n in (1, 2, 3))
+        m3 = k1**3 + 3.0 * k1 * k2 + k3
+    if not math.isfinite(m3):
+        raise DomainError(f"the third moment overflows for this law: {m3}")
+    return m3

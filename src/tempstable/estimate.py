@@ -4,8 +4,11 @@ The one-sided law has a closed-form inverse from its first three
 cumulants.  The six-parameter law is recovered by solving the
 moment-matching system G(kappa, theta) = 0 with MINPACK's hybrid
 (Powell dogleg) method in log/logit coordinates, so every iterate
-automatically stays inside the open parameter domain.  A separate
-estimator reads the intensity off the jump record of an observed path.
+automatically stays inside the open parameter domain.  The solver's
+system and Jacobian run on Python floats, with one gamma and one
+digamma call on the twelve orders n - beta, and its cumulants are
+``core.cumulant``'s bit for bit.  A separate estimator reads the
+intensity off the jump record of an observed path.
 """
 
 from __future__ import annotations
@@ -128,24 +131,29 @@ def two_sided_G(kappa, theta) -> np.ndarray:
     return _row_weights(theta) * (population_kappa(theta) - _kappa_of(kappa)[:6])
 
 
-def _mismatch_jacobian(kappa, theta) -> np.ndarray:
+def _mismatch_jacobian(kappa_hat: list, theta) -> np.ndarray:
     """W = d kappa/d theta + (kappa(theta) - kappa_hat) (x) d ln s/d theta,
     so that the Jacobian of G is s W at an arbitrary point.  Per leg,
     d kappa/d alpha = kappa/alpha, d kappa/d beta = kappa (ln lam - psi(j-beta))
-    and d kappa/d lam = -(j-beta) kappa/lam."""
-    k_plus, k_minus = _leg_kappas(theta)
-    resid = k_plus + k_minus - _kappa_of(kappa)[:6]
-    cols = []
-    for (alpha, beta, lam), k in ((theta[:3], k_plus), (theta[3:], k_minus)):
-        e, log_lam = _ORDERS - beta, math.log(lam)
-        cols += [k / alpha, log_lam * (k - resid) - k * digamma(e), e * (resid - k) / lam]
-    return np.array(cols).T
+    and d kappa/d lam = -(j-beta) kappa/lam.  Evaluated on Python floats
+    (``kappa_hat`` a list, ``theta`` Python floats) with one digamma call
+    on the twelve orders; each entry has the elementwise array form's bits."""
+    k_plus, k_minus, e = _leg_kappas(theta)
+    psi = digamma(e).tolist()
+    resid = [p + m - h for p, m, h in zip(k_plus, k_minus, kappa_hat)]
+    ap, _, lp, am, _, lm = theta
+    log_lp, log_lm = math.log(lp), math.log(lm)
+    return np.array([(x / ap, log_lp * (x - r) - x * dp, ep * (r - x) / lp,
+                      y / am, log_lm * (y - r) - y * dm, em * (r - y) / lm)
+                     for x, y, r, dp, dm, ep, em in
+                     zip(k_plus, k_minus, resid, psi[:6], psi[6:], e[:6], e[6:])])
 
 
 def two_sided_jacobian(kappa, theta) -> np.ndarray:
     """Analytic Jacobian of ``two_sided_G`` in the parameter vector, at an
     arbitrary point (not just at a root)."""
-    return _row_weights(theta)[:, None] * _mismatch_jacobian(kappa, theta)
+    kappa_hat = _kappa_of(kappa)[:6].tolist()
+    return _row_weights(theta)[:, None] * _mismatch_jacobian(kappa_hat, list(map(float, theta)))
 
 
 def _to_unconstrained(theta) -> np.ndarray:
@@ -157,10 +165,10 @@ def _to_unconstrained(theta) -> np.ndarray:
 
 def _from_unconstrained(u) -> tuple:
     # the clip keeps theta inside the open domain, where every cumulant is finite
-    a_p, b_p, l_p, a_m, b_m, l_m = (min(max(v, -_LOGIT_CLIP), _LOGIT_CLIP) for v in u.tolist())
-    expit = lambda v: 1.0 / (1.0 + math.exp(-v))
-    return (math.exp(a_p), expit(b_p), math.exp(l_p),
-            math.exp(a_m), expit(b_m), math.exp(l_m))
+    a_p, b_p, l_p, a_m, b_m, l_m = [-_LOGIT_CLIP if v < -_LOGIT_CLIP else _LOGIT_CLIP
+                                    if v > _LOGIT_CLIP else v for v in u.tolist()]
+    return (math.exp(a_p), 1.0 / (1.0 + math.exp(-b_p)), math.exp(l_p),
+            math.exp(a_m), 1.0 / (1.0 + math.exp(-b_m)), math.exp(l_m))
 
 
 def _validate(k, tol: float, max_iter: int) -> np.ndarray:
@@ -182,8 +190,16 @@ def _validate(k, tol: float, max_iter: int) -> np.ndarray:
 
 
 def _scaled_system(kappa, scale):
+    """The solver's system (kappa(theta(u)) - kappa_hat)/scale in the
+    log/logit coordinates u, and its Jacobian (see ``jac``), on Python
+    floats: numpy calls on six-element arrays cost more than their arithmetic."""
+    kappa_hat, scale_list = kappa.tolist(), scale.tolist()
+    row_scale = scale[:, None]
+
     def fun(u):
-        return (population_kappa(_from_unconstrained(u)) - kappa) / scale
+        k_plus, k_minus, _ = _leg_kappas(_from_unconstrained(u))
+        return np.array([(p + m - h) / s for p, m, h, s in
+                         zip(k_plus, k_minus, kappa_hat, scale_list)])
 
     def jac(u):
         ap, bp, lp, am, bm, lm = theta = _from_unconstrained(u)
@@ -195,7 +211,7 @@ def _scaled_system(kappa, scale):
         # kept on purpose: from 410 starts perturbed by +-20% over 41 laws
         # hybr recovered 405 laws with it against 395 with the exact
         # cumulant Jacobian.
-        return _mismatch_jacobian(kappa, theta) / scale[:, None] * d_theta
+        return _mismatch_jacobian(kappa_hat, theta) / row_scale * d_theta
 
     return fun, jac
 

@@ -392,6 +392,42 @@ class TestCumulantVector:
             assert k[0] * k[2] > k[1] ** 2
 
 
+class TestRatePowerPastTheFloatRange:
+    """lam^(n - beta) past the float range: the cumulant is formed in logs,
+    and callers return finite values or a DomainError, without a warning."""
+
+    BIG, TINY = OneSidedParams(1.0, 0.5, 1e300), OneSidedParams(1.0, 0.5, 1e-300)
+
+    @pytest.mark.parametrize("alpha, lam, expect", [
+        (1e300, 1e200, 1e-100),  # lam^2 overflows
+        (1e-300, 1e-200, 1e100),  # lam^2 underflows to 0
+    ])
+    def test_log_form(self, alpha, lam, expect):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = core.leg_cumulant(alpha, 0.0, lam, 2)
+        assert type(value) is np.float64
+        assert value == pytest.approx(expect, rel=1e-12)
+
+    def test_callers_are_finite_or_typed(self):
+        readme_minus = OneSidedParams(2.0, 0.6, 4.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for p in (self.BIG, TemperedStableParams(self.BIG, self.BIG),
+                      TemperedStableParams(self.BIG, readme_minus)):
+                br = ts.mode_bracket(p)
+                assert all(math.isfinite(v) for v in (br.lower, br.upper))
+            assert ts.third_moment_one_sided(self.BIG) == 0.0
+            assert ts.cumulant_vector(TemperedStableParams(self.BIG, self.BIG)).kappa == (0.0,) * 6
+            mixed = TemperedStableParams(self.BIG, readme_minus)
+            assert ts.cumulant_vector(mixed).kappa == tuple(ts.cumulant(mixed, n) for n in range(1, 7))
+            with pytest.raises(DomainError, match="float range"):
+                ts.cumulant_vector(TemperedStableParams(self.TINY, self.TINY))
+            with pytest.raises(DomainError, match="overflows"):
+                ts.third_moment_one_sided(self.TINY)
+            assert ts.cumulant(TemperedStableParams(self.TINY, self.TINY), 2) == math.inf
+
+
 class TestThirdMoment:
     def test_gamma_unit(self):
         assert ts.third_moment_one_sided(OneSidedParams(1.0, 0.0, 1.0)) == pytest.approx(

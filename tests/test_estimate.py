@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.special import gamma as G
+from scipy.special import digamma, gamma as G
 
 import tempstable as ts
 from tempstable import (
@@ -12,7 +12,7 @@ from tempstable import (
     OneSidedParams,
     TemperedStableParams,
 )
-from tempstable import estimate
+from tempstable import core, estimate
 from tempstable.estimate import population_kappa
 
 from conftest import moments_from_cumulants
@@ -20,6 +20,18 @@ from conftest import moments_from_cumulants
 
 def one_sided_kappa(p: OneSidedParams, n: int) -> float:
     return G(n - p.beta) * p.alpha / p.lam ** (n - p.beta)
+
+
+def _array_mismatch_jacobian(kappa_hat, theta, k_plus, k_minus) -> np.ndarray:
+    # estimate._mismatch_jacobian's closed form in numpy array arithmetic,
+    # given both legs' cumulants (the minus leg's signed)
+    k_plus, k_minus = np.array(k_plus), np.array(k_minus)
+    resid = k_plus + k_minus - np.asarray(kappa_hat)
+    cols = []
+    for (alpha, beta, lam), k in ((theta[:3], k_plus), (theta[3:], k_minus)):
+        e, log_lam = np.arange(1, 7) - beta, math.log(lam)
+        cols += [k / alpha, log_lam * (k - resid) - k * digamma(e), e * (resid - k) / lam]
+    return np.array(cols).T
 
 
 class TestSampleCumulants:
@@ -187,8 +199,7 @@ class TestTwoSidedSystem:
     def test_solver_system_matches_record_path(self, rng):
         # the solver's raw-float system is exactly the scaled mismatch of
         # population_kappa, and population_kappa is the record-based
-        # cumulant up to the last bits of pow (Python's and numpy's round
-        # apart by up to 2 ulp of the legs' sum)
+        # cumulant bit for bit: both take Python's pow and scipy's gamma
         kappa_hat = population_kappa(np.array([1.0, 0.3, 3.0, 2.0, 0.6, 4.0]))
         scale = np.maximum(np.abs(kappa_hat), kappa_hat[1] ** (np.arange(1, 7) / 2.0))
         fun, _ = estimate._scaled_system(kappa_hat, scale)
@@ -198,13 +209,30 @@ class TestTwoSidedSystem:
             theta = estimate._from_unconstrained(u)
             p = TemperedStableParams.create(*theta)
             records = np.array([ts.cumulant(p, n) for n in range(1, 7)])
-            legs = np.array([one_sided_kappa(p.plus, n) + one_sided_kappa(p.minus, n)
-                             for n in range(1, 7)])
-            kappa = population_kappa(theta)
-            assert np.array_equal(fun(u), (kappa - kappa_hat) / scale)
-            assert np.all(np.abs(kappa - records) <= 2.0 * np.spacing(legs))
-            assert np.all(np.abs(fun(u) * scale + kappa_hat - records)
-                          <= 4.0 * np.spacing(np.maximum(legs, np.abs(kappa_hat))))
+            assert np.array_equal(population_kappa(theta), records)
+            assert np.array_equal(fun(u), (records - kappa_hat) / scale)
+
+    def test_mismatch_jacobian_is_the_array_form(self, rng):
+        # each entry of the float-path W is the elementwise array form's,
+        # bit for bit at the same cumulants; so are G's and the solver's
+        # Jacobians built on it
+        for _ in range(200):
+            theta = (rng.uniform(0.05, 20.0), rng.uniform(0.001, 0.999), rng.uniform(0.05, 20.0),
+                     rng.uniform(0.05, 20.0), rng.uniform(0.001, 0.999), rng.uniform(0.05, 20.0))
+            kappa_hat = population_kappa(theta) * rng.uniform(0.7, 1.3, 6)
+            k_plus, k_minus, _ = core._leg_kappas(theta)
+            expect = _array_mismatch_jacobian(kappa_hat, theta, k_plus, k_minus)
+            assert np.array_equal(estimate._mismatch_jacobian(kappa_hat.tolist(), theta), expect)
+            assert np.array_equal(ts.two_sided_jacobian(kappa_hat, np.array(theta)),
+                                  estimate._row_weights(theta)[:, None] * expect)
+            scale = np.maximum(np.abs(kappa_hat), kappa_hat[1] ** (np.arange(1, 7) / 2.0))
+            _, jac = estimate._scaled_system(kappa_hat, scale)
+            u = estimate._to_unconstrained(theta)
+            t = estimate._from_unconstrained(u)
+            k_plus, k_minus, _ = core._leg_kappas(t)
+            d_theta = np.array([t[0], t[1] * (1.0 - t[1]), t[2], t[3], t[4] * (1.0 - t[4]), t[5]])
+            assert np.array_equal(jac(u), _array_mismatch_jacobian(kappa_hat, t, k_plus, k_minus)
+                                  / scale[:, None] * d_theta)
 
     def test_solver_jacobian_at_root_against_finite_differences(self, rng):
         worst = 0.0
