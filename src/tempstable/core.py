@@ -184,10 +184,16 @@ def cumulant(p: TemperedStableParams, n: int) -> float:
     """n-th cumulant, n = 1..6.
 
     kappa_n = Gamma(n - b+) a+ / (l+)^(n-b+) + (-1)^n Gamma(n - b-) a- / (l-)^(n-b-)
+
+    A leg term past the float range is inf; where the two are inf - inf
+    (odd n) the cumulant has no value, and that is a DomainError.
     """
     if not (1 <= n <= 6):
         raise DomainError(f"cumulants are exposed for n = 1..6 only, got {n}")
-    return cumulant_one_sided(p.plus, n) + (-1) ** n * cumulant_one_sided(p.minus, n)
+    plus, minus = cumulant_one_sided(p.plus, n), (-1) ** n * cumulant_one_sided(p.minus, n)
+    if math.isinf(plus) and plus == -minus:
+        raise DomainError(f"the cumulants of this law leave the float range: kappa_{n} is inf - inf")
+    return plus + minus
 
 
 _ORDERS = np.arange(1, 7)

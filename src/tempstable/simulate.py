@@ -10,7 +10,11 @@ kept with probability e^(-lam S), which is e^(-tau) >= e^-1.2 on
 average, and above that it is Devroye's double rejection, whose inner
 test proposes Kanter's angle U from a table of bounds on its tilted
 marginal, built once per tilt and beta with a guide table that picks a
-candidate's piece; 62-76% of its candidates become draws.  Both, and
+candidate's piece; 62-76% of its candidates become draws.  A candidate
+draws one uniform and one exponential for the inner test and one
+uniform for the outer, plus a normal only on the outer envelope's
+half-normal piece: each uniform that picks a piece also places the
+candidate in it, or gives the exponential piece its exponential.  Both, and
 the jump sizes of a floored path (one uniform picks the piece of a
 two-piece proposal and the candidate in it), fill their draws through
 one rejection loop whose rounds are sized by the acceptance seen so far;
@@ -19,7 +23,8 @@ and each test keeps its survivors by index.  The double rejection's
 rounds write their temporaries into a work area that each thread keeps
 (``_work``), so that its pages stay mapped from one round to the next.
 Paths are sums of per-step increments; when a jump record is requested,
-jumps above the floor come from an exact compound-Poisson layer and the
+jumps above the floor come from an exact compound-Poisson layer, the two
+legs' sorted records are merged by one ``searchsorted``, and the
 sub-floor remainder is folded into a moment-matched Gamma increment per
 step.
 """
@@ -199,11 +204,29 @@ def _log_zeta2(u: np.ndarray, beta: float, ws: _Work) -> np.ndarray:
     series of ln sinc, whose coefficients -(1 - beta^(2k+1) -
     (1-beta)^(2k+1)) zeta(2k)/k (symmetric in beta <-> 1-beta) are formed
     without cancellation.  Every one is negative, so ln zeta^2 decreases
-    in u on [0, pi).  Writes row 4 of ``ws`` with rows 5-7 as scratch; u
-    must lie in none of them.
+    in u on [0, pi).  At and above it each ln sin y is ln(2t/(1 + t^2)),
+    t = tan(y/2), as numpy's float64 tan is vectorised and its sin is
+    not; the three ln 2 cancel, so it sums ln(t/(1 + t^2)).  Writes row 4
+    of ``ws`` with rows 5-7 as scratch; u must lie in none of them.
     """
     k = u.size
     out, x_row, acc_row, tmp = ws.rows[4:8, :k]
+    far = np.greater_equal(u, _SERIES_EDGE, out=ws.mask[:k]).nonzero()[0]
+    n = far.size
+    x = u.take(far, out=x_row[:n], mode="clip")
+    x *= 0.5
+    acc, sq = acc_row[:n], out[:n]  # out is scratch until it is written below
+    acc.fill(beta * math.log(beta) + (1.0 - beta) * math.log1p(-beta))
+    for w, c in ((1.0, 1.0), (beta, -beta), (1.0 - beta, beta - 1.0)):  # acc += c ln(sin(w u)/2)
+        t = np.multiply(x, w, out=tmp[:n])
+        np.tan(t, out=t)
+        np.square(t, out=sq)
+        sq += 1.0
+        t /= sq
+        np.log(t, out=t)
+        t *= c
+        acc += t
+    out[far] = acc
     near = np.less(u, _SERIES_EDGE, out=ws.mask[:k]).nonzero()[0]
     n = near.size
     x = u.take(near, out=x_row[:n], mode="clip")
@@ -215,18 +238,6 @@ def _log_zeta2(u: np.ndarray, beta: float, ws: _Work) -> np.ndarray:
         acc += c
         acc *= x
     out[near] = acc
-    far = np.greater_equal(u, _SERIES_EDGE, out=ws.mask[:k]).nonzero()[0]
-    n = far.size
-    x = u.take(far, out=x_row[:n], mode="clip")
-    acc = np.log(np.sin(x, out=acc_row[:n]), out=acc_row[:n])
-    for w in (beta, 1.0 - beta):  # acc -= w ln sin(w x)
-        t = np.multiply(x, w, out=tmp[:n])
-        np.log(np.sin(t, out=t), out=t)
-        t *= w
-        acc -= t
-    acc += beta * math.log(beta)
-    acc += (1.0 - beta) * math.log1p(-beta)
-    out[far] = acc
     return out
 
 
@@ -259,8 +270,9 @@ def _u_marginal(u: np.ndarray, tau: float, beta: float, sg: float, ws: _Work | N
 def _u_envelope(tau: float, beta: float):
     """Piecewise-constant bound on U's tilted marginal g on (0, pi) for
     ``_double_rejection_round``: the pieces' cumulative masses (ending at
-    1), left ends, widths and ln heights, and the guide table of the
-    masses (``_guided_piece``).
+    1) and lower masses, left ends, widths, width/mass (0 for a piece
+    whose mass rounds to 0, which is never picked) and ln heights, and the
+    guide table of the masses (``_guided_piece``).
 
     g decreases in u for tau > 1/2, so its value at a piece's left end
     bounds it on the piece.  zeta decreases in u (``_log_zeta2``); B has
@@ -281,8 +293,11 @@ def _u_envelope(tau: float, beta: float):
     width = np.append(nodes[1:], math.pi) - nodes
     cum = np.cumsum(width * np.exp(log_h - log_h[0]))
     cum /= cum[-1]
+    below = np.append(0.0, cum[:-1])
+    mass = cum - below
+    scale = np.divide(width, mass, out=np.zeros_like(width), where=mass > 0.0)
     guide = np.searchsorted(cum, np.arange(_GUIDE) / _GUIDE, side="right").astype(np.int16)
-    return cum, nodes, width, log_h, guide
+    return cum, below, nodes, width, scale, log_h, guide
 
 
 def _guided_piece(r: np.ndarray, cum: np.ndarray, guide: np.ndarray,
@@ -308,16 +323,21 @@ def _guided_piece(r: np.ndarray, cum: np.ndarray, guide: np.ndarray,
 def _accepted_u(tau: float, beta: float, k: int, rng):
     """The candidates among k that pass the double rejection's inner test:
     U proposed from ``_u_envelope``'s table h and kept when
-    e = ln g(U) - ln h(U) + E >= 0, E standard exponential.  Returns
-    ln zeta^2, zeta, z and e at the kept ones, in rows 0, 1, 2 and 7 of
-    the thread's work area; given a kept U, e is again standard
-    exponential, and the outer test reuses it."""
-    cum, lo, width, log_h, guide = _u_envelope(tau, beta)
+    e = ln g(U) - ln h(U) + E >= 0, E standard exponential.  One uniform
+    r picks U's piece and places U in it, U = lo + (r - below) width/mass
+    with below the piece's lower mass, as r is uniform on the piece's
+    masses given the pick; a candidate draws r and E only.  It writes r
+    and then U in row 0 of the thread's work area, the piece in row 1,
+    ln h in row 2 and e in row 3, and returns ln zeta^2, zeta, z and e at
+    the kept ones in rows 0, 1, 2 and 7; given a kept U, e is again
+    standard exponential, and the outer test reuses it."""
+    cum, below, lo, _, scale, log_h, guide = _u_envelope(tau, beta)
     ws = _work(k)
     rows = ws.rows[:, :k]
-    piece = _guided_piece(rng.random(out=rows[0]), cum, guide, ws)
-    u = rng.random(out=rows[0])
-    u *= width.take(piece, out=rows[2], mode="clip")
+    r = rng.random(out=rows[0])
+    piece = _guided_piece(r, cum, guide, ws)
+    u = np.subtract(r, below.take(piece, out=rows[2], mode="clip"), out=r)
+    u *= scale.take(piece, out=rows[2], mode="clip")
     u += lo.take(piece, out=rows[2], mode="clip")
     h = log_h.take(piece, out=rows[2], mode="clip")
     e = rng.standard_exponential(out=rows[3])
@@ -344,44 +364,57 @@ def _double_rejection_round(tau: float, beta: float, k: int, rng) -> np.ndarray:
     Devroye's half-normal, uniform and ``psi/sqrt(pi - u)`` mixture; the
     outer one accepts X given U against a half-normal, flat and
     exponential envelope around its mode m, reusing the inner test's
-    exponential as E.  With Y = X/m - 1 the draw is
+    exponential as E.  One uniform r picks the envelope's piece by
+    pick = r total, total = 1 + c1 + z zeta/sg with c1 = sqrt(pi/2): on
+    the flat piece it also places Y, on the exponential piece it gives
+    that piece's exponential ln((total - 1 - c1)/(total - pick)), and
+    only the half-normal piece draws a normal.  With Y = X/m - 1 the draw is
     ``tau beta zeta^-2 (1+Y)^-b``, mean times a ratio near 1, and the
     tilt term is ``tau zeta^-2 ((1-beta) Y + beta ((1+Y)^-b - 1))``:
     neither carries a power 1/beta, which would cancel as beta -> 0.
-    The draws are row 8 of the thread's work area, valid until its next
-    round.
+    Past ``_accepted_u`` it writes r and then the exponentials in row 1 of
+    the thread's work area, ln X in row 2, the envelope's width and then
+    the tilt term in row 3, pick and then Y in row 4, total in row 5, the
+    normals in row 6, with rows 5 and 8 as scratch; the draws are row 8,
+    valid until the next round.
     """
     lz, zeta_u, z, e = _accepted_u(tau, beta, k, rng)
     sg = math.sqrt(tau * beta * (1.0 - beta))
     j = e.size
     ws = _work(j)
     rows = ws.rows[:, :j]
-    tmp, scratch = rows[1], rows[8]  # zeta_u's row is free once pick is drawn
+    scratch = rows[8]
 
     # X's envelope in Y: half normal of width delta/m left of 0, flat on
     # [0, delta/m], exponential of mean a3/m beyond; masses c1 : 1 : z zeta/sg
     width = np.multiply(zeta_u, beta, out=rows[3])
     width /= sg
-    pick = np.multiply(z, zeta_u, out=rows[4])
-    pick /= sg
-    pick += 1.0 + _HALF_PI_ROOT
-    pick *= rng.random(out=tmp)
-    normal, expo = rng.standard_normal(out=rows[5]), rng.standard_exponential(out=rows[6])
+    total = np.multiply(z, zeta_u, out=rows[5])
+    total /= sg
+    total += 1.0 + _HALF_PI_ROOT
+    pick = np.multiply(total, rng.random(out=rows[1]), out=rows[4])  # zeta_u is spent
     left = np.less(pick, _HALF_PI_ROOT, out=ws.mask[:j]).nonzero()[0]
     right = np.greater_equal(pick, 1.0 + _HALF_PI_ROOT, out=ws.mask[:j]).nonzero()[0]
     nl, nr = left.size, right.size
+    # pick < total, so the exponential is finite
+    expo = total.take(right, out=rows[1, :nr], mode="clip")
+    gap = np.subtract(expo, pick.take(right, out=scratch[:nr], mode="clip"), out=scratch[:nr])
+    expo -= 1.0 + _HALF_PI_ROOT
+    expo /= gap
+    np.log(expo, out=expo)
+    normal = rng.standard_normal(out=rows[6, :nl])
     pick -= _HALF_PI_ROOT
     y = np.multiply(pick, width, out=pick)
     t = width.take(left, out=scratch[:nl], mode="clip")
     np.negative(t, out=t)
-    t *= np.abs(normal.take(left, out=tmp[:nl], mode="clip"), out=tmp[:nl])
+    t *= np.abs(normal, out=rows[5, :nl])
     y[left] = t
     t = lz.take(right, out=scratch[:nr], mode="clip")
     np.exp(t, out=t)
-    jump = z.take(right, out=tmp[:nr], mode="clip")
+    jump = z.take(right, out=rows[5, :nr], mode="clip")
     jump *= t
     jump /= tau * (1.0 - beta)
-    jump *= expo.take(right, out=t, mode="clip")
+    jump *= expo
     y[right] = np.add(width.take(right, out=t, mode="clip"), jump, out=t)
     b = (1.0 - beta) / beta
     # Y <= -1 has no X: its log is -inf or nan, and its excess never passes
@@ -393,19 +426,18 @@ def _double_rejection_round(tau: float, beta: float, k: int, rng) -> np.ndarray:
         t = np.exp(np.negative(lz, out=scratch), out=scratch)
         t *= tau
         excess *= t
-    normal = normal.take(left, out=scratch[:nl], mode="clip")
-    half_sq = np.multiply(normal, 0.5, out=rows[4, :nl])
-    half_sq *= normal
-    t = excess.take(left, out=tmp[:nl], mode="clip")
+    half_sq = np.square(normal, out=rows[5, :nl])
+    half_sq *= 0.5
+    t = excess.take(left, out=scratch[:nl], mode="clip")
     t -= half_sq
     excess[left] = t
-    t = excess.take(right, out=tmp[:nr], mode="clip")
-    t -= expo.take(right, out=scratch[:nr], mode="clip")
+    t = excess.take(right, out=scratch[:nr], mode="clip")
+    t -= expo
     excess[right] = t
     acc = np.less_equal(excess, e, out=ws.mask[:j]).nonzero()[0]
     n = acc.size
     x = np.multiply(log_x.take(acc, out=scratch[:n], mode="clip"), -b, out=scratch[:n])
-    x -= lz.take(acc, out=tmp[:n], mode="clip")
+    x -= lz.take(acc, out=rows[5, :n], mode="clip")
     np.exp(x, out=x)
     x *= tau * beta
     return x
@@ -419,9 +451,12 @@ def sample_one_sided(p: OneSidedParams, t: float, rng, size=None):
     is at most ``_KANTER_MAX_TILT``, and Devroye's double rejection above
     it; the law of ``lam X`` depends on tau and beta only.  Draws whose
     mean or tilt leaves the float range are a ``DomainError``.
-    ``size=None`` returns a scalar.  ``rng`` is a ``numpy.random.Generator``:
-    the double rejection draws into its work area with ``out=``.
+    ``size=None`` returns a scalar.  ``rng`` must be a
+    ``numpy.random.Generator``, as the double rejection draws into its
+    work area with ``out=``; another is a ``DomainError``.
     """
+    if not isinstance(rng, np.random.Generator):
+        raise DomainError(f"rng must be a numpy.random.Generator, got {type(rng).__name__}")
     if not (0.0 < t < math.inf):
         raise DomainError(f"time must be positive and finite, got {t}")
     n = 1 if size is None else int(size)
@@ -544,6 +579,27 @@ def _leg_increments_with_jumps(p: OneSidedParams, cfg: PathConfig, lam_tot: floa
     return big + remainder, t_jumps, sizes
 
 
+def _merge_records(t_a: np.ndarray, x_a: np.ndarray, t_b: np.ndarray, x_b: np.ndarray):
+    """Two records sorted by time merged into one, a's first at equal
+    times: ``argsort(concatenate([t_a, t_b]), kind="stable")`` order,
+    from one ``searchsorted`` of the shorter record into the longer."""
+    n = t_a.size + t_b.size
+    if t_a.size <= t_b.size:
+        pos = np.searchsorted(t_b, t_a, side="left")
+        t_short, x_short, t_long, x_long = t_a, x_a, t_b, x_b
+    else:
+        pos = np.searchsorted(t_a, t_b, side="right")
+        t_short, x_short, t_long, x_long = t_b, x_b, t_a, x_a
+    pos += np.arange(pos.size)
+    rest = np.ones(n, dtype=bool)
+    rest[pos] = False
+    rest = rest.nonzero()[0]
+    times, sizes = np.empty(n), np.empty(n)
+    times[pos], sizes[pos] = t_short, x_short
+    times[rest], sizes[rest] = t_long, x_long
+    return times, sizes
+
+
 def leg_generators(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
     """One Philox generator per leg (plus, minus), spawned from ``seed``."""
     return tuple(np.random.Generator(np.random.Philox(child))
@@ -577,10 +633,7 @@ def simulate_path(p: TemperedStableParams, cfg: PathConfig) -> SamplePath:
                               f" recorded jumps on one leg (cap {_MAX_JUMPS})")
         inc_plus, jt_p, sz_p = _leg_increments_with_jumps(p.plus, cfg, rates[0], rng_plus)
         inc_minus, jt_m, sz_m = _leg_increments_with_jumps(p.minus, cfg, rates[1], rng_minus)
-        jt = np.concatenate([jt_p, jt_m])
-        js = np.concatenate([sz_p, -sz_m])
-        order = np.argsort(jt, kind="stable")
-        jt, js = jt[order], js[order]
+        jt, js = _merge_records(jt_p, sz_p, jt_m, -sz_m)
 
     values = np.concatenate(([0.0], np.cumsum(inc_plus - inc_minus)))
     return SamplePath(times=times, values=values, jump_times=jt,

@@ -427,6 +427,15 @@ class TestRatePowerPastTheFloatRange:
                 ts.third_moment_one_sided(self.TINY)
             assert ts.cumulant(TemperedStableParams(self.TINY, self.TINY), 2) == math.inf
 
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_odd_cumulant_of_two_infinite_legs_is_domain_error(self, n):
+        # inf - inf, which numpy sums to nan with an "invalid value" warning
+        # (kappa_1 is 1.8e150 - 1.8e150 = 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="float range"):
+                ts.cumulant(TemperedStableParams(self.TINY, self.TINY), n)
+
 
 class TestThirdMoment:
     def test_gamma_unit(self):

@@ -97,6 +97,13 @@ class TestSampleOneSided:
         val = ts.sample_one_sided(OneSidedParams(1.0, 0.5, 1.0), 1.0, rng)
         assert isinstance(val, float) and val >= 0.0
 
+    # the Gamma leg, Kanter's proposal (tilt 0.5) and the double rejection (tilt 3)
+    @pytest.mark.parametrize("leg", [(1.0, 0.0, 1.0), (0.5 * 0.5 / G(0.5), 0.5, 1.0),
+                                     (3.0 * 0.5 / G(0.5), 0.5, 1.0)])
+    def test_legacy_generator_is_domain_error(self, leg):
+        with pytest.raises(DomainError, match="Generator"):
+            ts.sample_one_sided(OneSidedParams(*leg), 1.0, np.random.RandomState(1), size=10)
+
 
 def _check_laplace_transform_and_mean(rng, tau, beta):
     n = 100_000
@@ -234,7 +241,7 @@ def test_u_envelope_dominates_the_marginal(tau, beta):
     sg = math.sqrt(tau * beta * (1.0 - beta))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        cum, lo, width, log_h, _ = simulate._u_envelope(tau, beta)
+        cum, _, lo, width, _, log_h, _ = simulate._u_envelope(tau, beta)
         assert lo[0] == 0.0 and lo[-1] + width[-1] == math.pi
         assert np.all(width > 0.0) and cum[-1] == 1.0
         # 65 points on each piece, both ends included
@@ -263,22 +270,64 @@ def test_guided_piece_is_searchsorted(tau, beta):
                           np.searchsorted(cum, r, side="right"))
 
 
+def test_zero_mass_pieces_are_never_picked():
+    # (10, 0.5) ends in nine pieces of zero mass; their width/mass is 0,
+    # and neither building the table nor drawing from it warns
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cum, below, lo, width, scale, _, guide = simulate._u_envelope.__wrapped__(10.0, 0.5)
+        empty = cum == below
+        assert np.sum(empty) == 9 and np.all(scale[empty] == 0.0)
+        r = np.concatenate([[0.0], cum[cum < 1.0], np.nextafter(cum, -np.inf),
+                            np.random.default_rng(3).random(100_000)])
+        piece = simulate._guided_piece(r, cum, guide)
+        assert not np.any(empty[piece])
+        u = (r - below[piece]) * scale[piece] + lo[piece]
+        assert np.all(u >= lo[piece]) and np.all(u <= lo[piece] + width[piece])
+        x = simulate._double_rejection_round(10.0, 0.5, 20_000, np.random.default_rng(3))
+    assert np.all(np.isfinite(x)) and x.size > 0
+
+
+@pytest.mark.parametrize("tau", [1.5, 3.0])
+@pytest.mark.parametrize("beta", [0.2, 0.5, 0.8])
+def test_double_rejection_matches_tilted_kanter(tau, beta):
+    # two samplers that share no code, at lam = 1 and stable scale tau;
+    # 1.95 sqrt(2/n) is the two-sample Kolmogorov-Smirnov critical value
+    # at level 0.1%
+    n, rng = 200_000, np.random.default_rng(17)
+
+    def fill(round_):
+        parts, got = [], 0
+        while got < n:
+            parts.append(round_(1 << 16).copy())
+            got += parts[-1].size
+        return np.concatenate(parts)[:n]
+
+    devroye = fill(lambda k: simulate._double_rejection_round(tau, beta, k, rng))
+    kanter = fill(lambda k: simulate._kanter_round(tau, beta, 1.0, k, rng))
+    assert ks_2samp(devroye, kanter).statistic < 1.95 * math.sqrt(2.0 / n)
+
+
 def _reference_round(tau, beta, k, rng):
     # the double rejection in its plain form: searchsorted for the piece,
     # boolean masks for the survivors and np.where for the outer envelope
-    cum, lo, width, log_h, _ = simulate._u_envelope(tau, beta)
+    cum, below, lo, _, scale, log_h, _ = simulate._u_envelope(tau, beta)
     sg = math.sqrt(tau * beta * (1.0 - beta))
-    piece = np.searchsorted(cum, rng.random(k), side="right")
-    u = lo[piece] + rng.random(k) * width[piece]
+    r = rng.random(k)
+    piece = np.searchsorted(cum, r, side="right")
+    u = lo[piece] + (r - below[piece]) * scale[piece]
     lz, zeta_u, z, log_g = simulate._u_marginal(u, tau, beta, sg)
     e = rng.standard_exponential(k) + log_g - log_h[piece]
     keep = e >= 0.0
     lz, zeta_u, z, e = lz[keep], zeta_u[keep], z[keep], e[keep]
     j, c1 = e.size, simulate._HALF_PI_ROOT
     width = beta * zeta_u / sg
-    pick = rng.random(j) * (1.0 + c1 + z * zeta_u / sg)
-    normal, expo = rng.standard_normal(j), rng.exponential(1.0, j)
+    total = 1.0 + c1 + z * zeta_u / sg
+    pick = rng.random(j) * total
     left, right = pick < c1, pick >= 1.0 + c1
+    normal = np.zeros(j)
+    normal[left] = rng.standard_normal(np.count_nonzero(left))
+    expo = np.log((total - (1.0 + c1)) / (total - pick))
     y = np.where(left, -width * np.abs(normal),
                  width * np.where(right, 1.0, pick - c1)
                  + np.where(right, z * np.exp(lz) / (tau * (1.0 - beta)) * expo, 0.0))
@@ -363,15 +412,15 @@ def _kernel_digest():
     # from; numpy's SIMD dispatch may round them differently on another CPU
     x = np.linspace(1e-3, 3.0, 1001)
     rng = np.random.default_rng(2025)
-    parts = [np.exp(-x), np.log(x), np.log1p(x), np.expm1(-x), np.sin(x),
+    parts = [np.exp(-x), np.log(x), np.log1p(x), np.expm1(-x), np.sin(x), np.tan(0.5 * x),
              rng.random(1000), rng.standard_normal(1000), rng.standard_exponential(1000)]
     return hashlib.sha256(b"".join(p.tobytes() for p in parts)).hexdigest()
 
 
 def test_double_rejection_draws_are_pinned():
-    # SHA-256 of the draws before the guide table and index compaction
-    # (2-CPU x86-64 with AVX-512, numpy 2.4.6), which draw the same bits
-    if _kernel_digest() != "55ca28e9f86a415b7d0e7d3421e70c5e559f4f35b71de812c6b9ae375a55e5de":
+    # SHA-256 of the draws of rounds that draw only the variates they use
+    # (2-CPU x86-64 with AVX-512, numpy 2.4.6)
+    if _kernel_digest() != "8af0124e7cca1af6eca8b0be76c03cd5cf8ad601417e6f69093ff7dd1b5dee52":
         pytest.skip("float64 kernels round differently from the pinning host's")
     digest = hashlib.sha256()
     for tau in (2.5, 13.0, 130.0, 1e4, 1e10):
@@ -379,7 +428,7 @@ def test_double_rejection_draws_are_pinned():
             leg = OneSidedParams(tau * beta / G(1.0 - beta), beta, 1.0)
             digest.update(ts.sample_one_sided(leg, 1.0, np.random.default_rng(2025),
                                               size=5000).tobytes())
-    assert digest.hexdigest() == "e7abfb9197a6d20cf4a9afb03d430588f06b1d9a8ce468accf645f5837484491"
+    assert digest.hexdigest() == "c531e92a8a960b25eb0e061fa0c2ec83b6553fefea8ab8b6cc926e656f805076"
 
 
 def _jump_survival(p, x):
@@ -498,6 +547,18 @@ class TestSimulatePath:
         assert np.all(path.jump_times[:-1] <= path.jump_times[1:])
         assert np.all(path.jump_sizes != 0.0)
         assert np.all(np.abs(path.jump_sizes) >= cfg.jump_floor)
+
+    @pytest.mark.parametrize("n_a, n_b", [(0, 7), (7, 0), (0, 0), (40, 40), (40, 300), (300, 40)],
+                             ids=["empty-a", "empty-b", "both-empty", "equal", "a-short", "b-short"])
+    def test_merged_records_are_stable_argsort(self, n_a, n_b):
+        # integer times give ties within and across the records
+        rng = np.random.default_rng(n_a + 1000 * n_b)
+        t_a, t_b = (np.sort(rng.integers(0, 20, n).astype(float)) for n in (n_a, n_b))
+        x_a, x_b = rng.random(n_a), -rng.random(n_b)
+        times, sizes = simulate._merge_records(t_a, x_a, t_b, x_b)
+        order = np.argsort(np.concatenate([t_a, t_b]), kind="stable")
+        assert times.tobytes() == np.concatenate([t_a, t_b])[order].tobytes()
+        assert sizes.tobytes() == np.concatenate([x_a, x_b])[order].tobytes()
 
     def test_config_validation(self):
         with pytest.raises(DomainError):
