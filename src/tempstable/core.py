@@ -188,7 +188,7 @@ def cumulant(p: TemperedStableParams, n: int) -> float:
     A leg term past the float range is inf; where the two are inf - inf
     (odd n) the cumulant has no value, and that is a DomainError.
     """
-    if not (1 <= n <= 6):
+    if n not in range(1, 7):  # refuses 2.5 and NaN, as range holds integers only
         raise DomainError(f"cumulants are exposed for n = 1..6 only, got {n}")
     plus, minus = cumulant_one_sided(p.plus, n), (-1) ** n * cumulant_one_sided(p.minus, n)
     if math.isinf(plus) and plus == -minus:
@@ -236,17 +236,16 @@ def cumulant_vector(p: TemperedStableParams) -> CumulantVector:
 
 
 def moment_stats(p: TemperedStableParams) -> MomentStats:
-    """Mean, variance, Charliers skewness and kurtosis from the cumulants.
+    """Mean, variance, Charliers skewness and kurtosis from the first four
+    cumulants of one ``_population_kappa`` pass (``cumulant`` bit for bit).
 
+    A leg's rate power lam^(n - beta) past the float range is taken in logs,
+    as in ``cumulant``, so a large rate gives that leg's terms as 0.
     Raises DomainError when a cumulant or a ratio of them overflows the
-    float range, instead of passing inf or nan on, and where a leg's rate
-    power lam^(n - beta), n <= 4, overflows it (lam from about 1e100).
+    float range, instead of passing inf or nan on.
     """
-    if max((4.0 - leg.beta) * math.log(leg.lam) for leg in (p.plus, p.minus)) > _LOG_MAX:
-        raise DomainError("moment statistics overflow for this law: a rate power "
-                          "lambda^(n - beta), n <= 4, leaves the float range")
     with np.errstate(all="ignore"):
-        k1, k2, k3, k4 = (cumulant(p, n) for n in range(1, 5))
+        k1, k2, k3, k4 = _population_kappa(p.as_tuple())[:4]
         k2_sq = k2**2
         skewness, excess = k3 / k2**1.5, k4 / k2_sq
     if not all(math.isfinite(v) for v in (k1, k2, k3, k4, k2_sq, skewness, excess)):

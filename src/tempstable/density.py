@@ -245,16 +245,20 @@ def _factored_blocks(c: np.ndarray) -> np.ndarray:
     return np.pad(c, (0, a * b - k)).reshape(a, b).T
 
 
-def _fourier_sum(x, blocks: np.ndarray, dz: float, product=np.matmul):
+def _fourier_sum(x, blocks: np.ndarray, dz: float):
     """Re sum_k c_k e^(-i x k dz), scalar or 1-d x, for the coefficients laid
     out by ``_factored_blocks``.  This is sum_j e^(-i x j b dz) sum_i
     e^(-i x i dz) c_k: a + b exponentials per point and one matrix product,
     against a b for the direct sum.  The density's ``pdf`` and ``mode`` and
-    the Fourier call price all sum through it; ``product`` forms that
-    matrix product."""
+    the Fourier call price all sum through it.  For one point the product
+    is a vector times a matrix, which OpenBLAS splits across threads from
+    4096 entries, and the wait for the second thread costs more than the
+    product (8 ms on a busy 2-CPU host), so it runs as ``einsum`` on the
+    calling thread; more points keep BLAS ``matmul``."""
     b, a = blocks.shape
     kern = np.multiply.outer(x, -1j * dz * np.arange(b))
-    part = product(np.exp(kern, out=kern), blocks)
+    np.exp(kern, out=kern)
+    part = np.einsum("...i,ij->...j", kern, blocks) if np.size(x) == 1 else kern @ blocks
     del kern  # the chunk's largest array, freed before the next ones
     theta = np.multiply.outer(x, (b * dz) * np.arange(a))
     # Re(e^(-i theta) part), summed over j

@@ -25,7 +25,7 @@ from .density import _factored_blocks, _fourier_sum, _scaled_exp
 from .errors import ConvergenceError, DomainError
 from .measure import EsscherPair, bilateral_esscher, check_market
 from .params import TemperedStableParams
-from .simulate import leg_generators, sample_one_sided
+from .simulate import _integer_at_least, leg_generators, sample_one_sided
 
 #: candidate extents of the integral, node cap of one price's grid, ln(1/eps)
 #: for the aliasing error eps*S0 allowed on each side, ln of the largest sum
@@ -129,16 +129,9 @@ def call_price_fourier(p_q: TemperedStableParams, market: MarketConfig,
         raise ConvergenceError(f"pricing grid needs {nodes:.3g} nodes (cap {_MAX_NODES}) "
                                f"at contour height {nu} in (1, {lam_plus})")
     blocks, du = _weighted_transform(p_q, mat, nu, 1 << (math.ceil(nodes) - 1).bit_length())
-    integral = 2.0 * float(_fourier_sum(-k, blocks, du, _vector_product))
+    integral = 2.0 * float(_fourier_sum(-k, blocks, du))
     prefactor = -math.exp(-market.r * mat) * option.strike * math.exp(-nu * k) / (2.0 * math.pi)
     return prefactor * integral
-
-
-def _vector_product(e: np.ndarray, blocks: np.ndarray) -> np.ndarray:
-    """``e @ blocks`` on the calling thread.  BLAS splits a vector product
-    of 4096 or more entries across threads, and the wake-up of the second
-    one costs more than the product: 8 ms per call on a busy 2-CPU host."""
-    return np.einsum("i,ij->j", e, blocks)
 
 
 def _transform(p_nu: TemperedStableParams, psi_nu: float, nu: float, u: np.ndarray):
@@ -189,8 +182,7 @@ def mc_call_price(p_q: TemperedStableParams, market: MarketConfig,
     call payoff has infinite variance (lambda+ <= 2)."""
     if n_paths < 1000:
         raise DomainError("need at least 1000 paths for a meaningful estimate")
-    if not seed >= 0:
-        raise DomainError(f"seed must be nonnegative, got {seed}")
+    _integer_at_least("seed", seed, 0)
     forward = _scaled_exp("the forward", market.s0, option.maturity * cgf(p_q, 1.0))
     x_plus, x_minus = (sample_one_sided(leg, option.maturity, rng, size=n_paths)
                        for leg, rng in zip((p_q.plus, p_q.minus), leg_generators(seed)))

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import threading
 from dataclasses import dataclass
 
@@ -65,6 +66,18 @@ _SINC_SERIES_K = np.arange(1, 13)
 _SINC_SERIES = zeta(2.0 * _SINC_SERIES_K) / _SINC_SERIES_K
 
 
+def _integer_at_least(name: str, value, least: int) -> int:
+    """``value`` as an int, through ``operator.index``; a float, NaN or any
+    other non-integer, or an integer below ``least``, is a DomainError."""
+    try:
+        n = operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None
+    if n < least:
+        raise DomainError(f"{name} must be at least {least}, got {n}")
+    return n
+
+
 @dataclass(frozen=True)
 class PathConfig:
     horizon: float
@@ -83,8 +96,7 @@ class PathConfig:
             )
         if not (0.0 <= self.jump_floor < math.inf):
             raise DomainError(f"jump_floor must be nonnegative and finite, got {self.jump_floor}")
-        if not self.seed >= 0:
-            raise DomainError(f"seed must be nonnegative, got {self.seed}")
+        _integer_at_least("seed", self.seed, 0)
 
     @property
     def n_steps(self) -> int:
@@ -451,7 +463,8 @@ def sample_one_sided(p: OneSidedParams, t: float, rng, size=None):
     is at most ``_KANTER_MAX_TILT``, and Devroye's double rejection above
     it; the law of ``lam X`` depends on tau and beta only.  Draws whose
     mean or tilt leaves the float range are a ``DomainError``.
-    ``size=None`` returns a scalar.  ``rng`` must be a
+    ``size=None`` returns a scalar; another size must be a nonnegative
+    integer.  ``rng`` must be a
     ``numpy.random.Generator``, as the double rejection draws into its
     work area with ``out=``; another is a ``DomainError``.
     """
@@ -459,9 +472,7 @@ def sample_one_sided(p: OneSidedParams, t: float, rng, size=None):
         raise DomainError(f"rng must be a numpy.random.Generator, got {type(rng).__name__}")
     if not (0.0 < t < math.inf):
         raise DomainError(f"time must be positive and finite, got {t}")
-    n = 1 if size is None else int(size)
-    if n < 0:
-        raise DomainError(f"size must be nonnegative, got {size}")
+    n = 1 if size is None else _integer_at_least("size", size, 0)
     beta, lam = p.beta, p.lam
     a_eff = p.alpha * t
     # beta > 0: the stable law with scale c = alpha t Gamma(1-beta)/beta,
@@ -658,8 +669,7 @@ def jump_bin_counts(path: SamplePath, p_assumed: OneSidedParams, n_bins: int) ->
     jump floor must sit at or below the smallest band edge or small bands
     would be silently censored.
     """
-    if n_bins < 1:
-        raise DomainError("need at least one band")
+    n_bins = _integer_at_least("the band count", n_bins, 1)
     if path.jump_floor == 0.0:
         raise DomainError(
             "path carries no jump record; simulate with a positive jump_floor"

@@ -21,6 +21,7 @@ from tempstable import (
     OneSidedParams,
     TemperedStableParams,
 )
+from tempstable.density import _fourier_sum
 
 from conftest import inversion_cost_ok, random_params
 
@@ -215,6 +216,20 @@ class TestFactoredSum:
         ref = _direct_dft_pdf(law, settings, xs)
         assert np.max(np.abs(ev.pdf(xs) - ref)) <= 1e-13 * np.max(g.pdf)
 
+    @pytest.mark.parametrize("law", [README_LAW, SLOW_LAW], ids=["readme", "slow-decay"])
+    def test_one_point_equals_the_batch_sum(self, law):
+        # one point takes einsum's product on the calling thread, a batch
+        # BLAS's matmul: the two agree to rounding
+        ev = ts.DensityEvaluator(law)
+        g = ev.grid()
+        xs = np.linspace(g.x[0], g.x[-1], 257)
+        batch = _fourier_sum(xs, ev._blocks, ev._dz)
+        for i in (0, 100, 128, 256):
+            for x in (float(xs[i]), np.float64(xs[i]), xs[i:i + 1]):
+                one = _fourier_sum(x, ev._blocks, ev._dz)
+                assert np.shape(one) == np.shape(x)
+                assert abs(float(np.squeeze(one)) - batch[i]) <= 1e-15 * np.max(np.abs(batch))
+
     def test_memory_is_bounded_by_the_chunk(self):
         # 2^18 nodes, all in the support: unchunked, the two factors of
         # 10^5 points would take 1.6 GB
@@ -236,12 +251,14 @@ def _kernel_digest():
     # the float64 kernels the transform, the FFT and the factored sum use;
     # numpy's SIMD dispatch may round them differently on another CPU, and
     # OpenBLAS rounds a product of pdf's shape, (256, 182) @ (182, 181)
-    # complex, differently at one thread than at two or more
+    # complex, differently at one thread than at two or more; one point's
+    # product is einsum's loop at any thread count
     x = np.linspace(1e-3, 3.0, 1001)
     w = np.exp(1j * x) * x
     parts = [np.log(x), np.log1p(x), np.expm1(-x), np.tan(x), np.arctan(x), np.exp(w),
              np.cos(x), np.sin(x), np.fft.fft(w), w[:992].reshape(31, 32) @ w[:32],
              np.einsum("...j,...j->...", np.cos(x), np.sin(x)),
+             np.einsum("...i,ij->...j", w[:182], np.outer(w[:182], w[:181])),
              np.exp(np.multiply.outer(x[:256], -1j * np.arange(182))) @ np.outer(w[:182], w[:181])]
     return hashlib.sha256(b"".join(p.tobytes() for p in parts)).hexdigest()
 
@@ -268,16 +285,16 @@ def _density_digest():
 #: (2-CPU x86-64 with AVX-512, numpy 2.4.6, OpenBLAS 0.3.31): one BLAS
 #: thread, then two or more
 _DENSITY_DIGESTS = {
-    "44b944639d9a4f1a4add65573889d209f4f0f5052c9634b3233e566401521763":
-        "2bb62f593f2c3beb192626bbbcb021c5ac60517859876a15829aa67736673671",
-    "526facae062f02aa3e41175e60b1fcd1bd565848db71c06fd234a399505db5d0":
-        "911ae4f1f008fd2eac6a9dc44ce95d195eb75ca5d5002838c1ab8df106992956",
+    "73a1b5219c54e138af7af1b5eea14fd055f17490497e4c0e8d070b3612587c40":
+        "1af345829235dd7a0753d39c12387c3902c2799f4770393a56e40dd9e73e3cf7",
+    "a46f166ec0fc1fe9a69cb3865afa2b9ca9887c507ca5089cd6ffc50b386c067a":
+        "637a8bcf170908fcb3d2ca749dd9329deb4cf8f44a4b1893e6976b6998c67cb4",
 }
 
 
 def test_factored_sum_bits_are_pinned():
-    # SHA-256 of the bits from before the factored sum became the kernel
-    # that pricing shares
+    # SHA-256 of pdf's batch bits, which go through BLAS's matrix product,
+    # and of mode(), whose one-point root steps go through einsum's
     expected = _DENSITY_DIGESTS.get(_kernel_digest())
     if expected is None:
         pytest.skip("float64 kernels round differently from the pinning host's")

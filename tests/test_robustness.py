@@ -1,5 +1,6 @@
-"""One robustness sweep over the documented parameter box, and the
-six-cumulant vector checked against single cumulants over the same box.
+"""One robustness sweep over the documented parameter box, the
+six-cumulant vector checked against single cumulants over the same box,
+and the refusal of integer arguments that are not integers.
 
 Each leg draws alpha log-uniform in [1e-6, 1e6], beta in {0} or
 log-uniform in [1e-9, 0.999] and lambda log-uniform in [1e-3, 1e3].
@@ -15,6 +16,7 @@ import warnings
 from dataclasses import astuple
 
 import numpy as np
+import pytest
 from hypothesis import event, given, settings, strategies as st
 from scipy.special import gamma as G
 
@@ -102,3 +104,25 @@ def test_cumulant_vector_is_single_cumulants_bit_for_bit(plus, minus):
             plain = [G(n - b) * a / lam ** (n - b) for a, b, lam in (plus, minus)]
             assert kappa[n - 1] == ts.cumulant(p, n) == plain[0] + (-1) ** n * plain[1]
             assert population[n - 1] == kappa[n - 1]
+
+
+_LAW = TemperedStableParams.create(1.0, 0.3, 3.0, 2.0, 0.6, 4.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: ts.PathConfig(horizon=1.0, step=0.1, seed=1.5),
+    lambda: ts.mc_call_price(_LAW, ts.MarketConfig(s0=1.0, r=0.0), ts.OptionSpec(1.0, 1.0),
+                             1000, 1.5),
+    lambda: ts.sample_one_sided(_LAW.plus, 1.0, np.random.default_rng(1), size=math.nan),
+    lambda: ts.sample_one_sided(_LAW.plus, 1.0, np.random.default_rng(1), size=2.5),
+    lambda: ts.sample_one_sided(_LAW.plus, 1.0, np.random.default_rng(1), size="3"),
+    lambda: ts.jump_bin_counts(ts.simulate_path(_LAW, ts.PathConfig(1.0, 0.1, 1, jump_floor=1e-3)),
+                               _LAW.plus, 2.5),
+], ids=["path-seed", "mc-seed", "size-nan", "size-fraction", "size-string", "band-count"])
+def test_integer_arguments_refuse_non_integers(call):
+    # a seed, size or band count that is not an integer is a typed
+    # refusal, not numpy's TypeError or ValueError and not a truncation
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ts.DomainError, match="must be an integer"):
+            call()
