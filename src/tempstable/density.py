@@ -28,10 +28,10 @@ from scipy.special import gamma as _gamma, wrightomega
 
 from .core import (
     cf,
-    cgf,
     cgf_one_sided,
     cumulant,
     cumulant_one_sided,
+    leg_exponent,
     log_cf,
 )
 from .errors import ConvergenceError, DomainError
@@ -355,13 +355,42 @@ def tail_constant_one_sided(p: OneSidedParams) -> float:
 
 
 def tail_constant(p: TemperedStableParams) -> float:
-    """Constant C in the upper-tail law g(x) ~ C e^(-lambda+ x) / x^(1+beta+).
-
-    Gamma legs are rejected: the boundary case has a polynomially
-    corrected tail of a different shape.
+    """Constant C = alpha+ e^Psi(lambda+) in the upper-tail law
+    g(x) ~ C e^(-lambda+ x) / x^(1+beta+).  Where the legs' terms of
+    Psi(lambda+) cancel to a rounding bound above 2^-26 it is a
+    DomainError, unless C underflows whatever the rounding.  Gamma legs
+    are rejected: that tail is polynomially corrected, of another shape.
     """
     _require_positive_betas(p, "tail constant")
-    return _scaled_exp("tail constant", p.plus.alpha, cgf(p, p.plus.lam))
+    exponent, err = _tail_exponent(p)
+    if err > 2.0**-26 and p.plus.alpha * math.exp(min(exponent + err, 709.0)) > 0.0:
+        raise DomainError(f"tail constant is lost to rounding: Psi(lambda+) = {exponent:.6g}"
+                          f" +- {err:.3g}")
+    return _scaled_exp("tail constant", p.plus.alpha, exponent)
+
+
+def _tail_exponent(p: TemperedStableParams) -> tuple[float, float]:
+    """Psi(lambda+) and a bound on its rounding, in whichever form has the
+    smaller bound.  With c = alpha Gamma(1-beta)/beta and a = c+ lambda+^beta+
+    it is a - c- ((lambda- + lambda+)^beta- - lambda-^beta-), whose leading
+    terms cancel as lambda+ outgrows lambda-, or c- lambda-^beta- - a
+    expm1(g), g = ln(c- (lambda+ + lambda-)^beta- / a) summed from logs that
+    are exact 0 where the legs share alpha and beta."""
+    (ap, bp, lp), (am, bm, lm) = ((leg.alpha, leg.beta, leg.lam) for leg in (p.plus, p.minus))
+    eps = 8.0 * 2.0**-52  # a few roundings per term, with a margin
+    a, b = float(leg_exponent(ap, bp, lp, lp)), -float(leg_exponent(am, bm, lm, -lp))
+    kp, km = float(_gamma(1.0 - bp)) / bp, float(_gamma(1.0 - bm)) / bm
+    g = [math.log1p((am - ap) / ap) if ap <= 2.0 * am <= 4.0 * ap else math.log(am / ap),
+         bm * math.log1p(lm / lp)]
+    if bm != bp:
+        g += [math.log(km / kp), (bm - bp) * math.log(lp)]
+    with np.errstate(over="ignore"):
+        e = float(np.expm1(sum(g)))
+    head, spread = am * km * lm**bm, sum(map(abs, g)) + (bm != bp)  # + the Gamma ratio's rounding
+    # b's exponential turns its argument's rounding, beta- ln(1 + lambda+/lambda-), relative
+    return min((a - b, eps * (a + b * (1.0 + bm * math.log1p(lp / lm)))),
+               (head - a * e, eps * (head + a * abs(e) + a * (1.0 + e) * spread)),
+               key=lambda form: form[1])
 
 
 def _scaled_exp(what: str, scale: float, exponent: float) -> float:

@@ -16,17 +16,20 @@ uniform for the outer, plus a normal only on the outer envelope's
 half-normal piece: each uniform that picks a piece also places the
 candidate in it, or gives the exponential piece its exponential.  Both, and
 the jump sizes of a floored path (one uniform picks the piece of a
-two-piece proposal and the candidate in it), fill their draws through
-one rejection loop whose rounds are sized by the acceptance seen so far;
-it makes every draw in blocks, so the temporaries stay O(block) in size,
-and each test keeps its survivors by index.  The double rejection's
-rounds write their temporaries into a work area that each thread keeps
-(``_work``), so that its pages stay mapped from one round to the next.
+two-piece proposal and the candidate in it, a second accepts it), fill
+their draws through one rejection loop whose rounds are sized by the
+acceptance seen so far; it makes every draw in blocks, so the temporaries
+stay O(block) in size.  The double rejection's and the jump sizes'
+rounds, and Kanter's ln A(u), write their temporaries into a work area
+that each thread keeps (``_work``), so that its pages stay mapped from
+one round to the next.
 Paths are sums of per-step increments; when a jump record is requested,
-jumps above the floor come from an exact compound-Poisson layer, the two
-legs' sorted records are merged by one ``searchsorted``, and the
-sub-floor remainder is folded into a moment-matched Gamma increment per
-step.
+the two legs' jumps above the floor are one compound-Poisson stream at
+the summed rate whose jumps are labelled by leg (superposition and
+thinning), so one count and one sorted time array serve both legs, and
+the sub-floor remainder is folded into a moment-matched Gamma increment
+per step.  Paths and Monte Carlo prices draw from one SFC64 generator per
+leg (``leg_generators``).
 """
 
 from __future__ import annotations
@@ -117,16 +120,22 @@ def _kanter_stable(c: float, beta: float, n: int, rng) -> np.ndarray:
 
     Kanter's ``c^(1/beta) (A(u)/w)^((1-beta)/beta)`` is evaluated in logs,
     so that no power of it overflows as beta -> 0 or beta -> 1; a draw
-    beyond the float range comes out as inf.
+    beyond the float range comes out as inf.  (1-beta) ln A(u) is
+    beta ln beta + (1-beta) ln(1-beta) - ln zeta^2(pi u), from
+    ``_log_zeta2`` in the thread's work area (a fresh one past ``_BLOCK``
+    draws).
     """
-    u = rng.uniform(0.0, 1.0, n)
-    u = np.clip(u, 1e-16, 1.0 - 1e-16)
-    w = rng.exponential(1.0, n)
+    u = rng.random(n)
+    np.clip(u, 1e-16, 1.0 - 1e-16, out=u)
+    u *= math.pi
+    lz = _log_zeta2(u, beta, _work(n) if n <= _BLOCK else _Work(n))
     with np.errstate(divide="ignore", over="ignore"):
-        log_s = (math.log(c) + (1.0 - beta) * np.log(np.sin((1.0 - beta) * np.pi * u))
-                 + beta * np.log(np.sin(beta * np.pi * u)) - np.log(np.sin(np.pi * u))
-                 - (1.0 - beta) * np.log(w)) / beta
-        return np.exp(log_s)
+        log_s = np.log(rng.standard_exponential(n))
+        log_s *= beta - 1.0
+        log_s += math.log(c) + beta * math.log(beta) + (1.0 - beta) * math.log1p(-beta)
+        log_s -= lz
+        log_s /= beta
+        return np.exp(log_s, out=log_s)
 
 
 def _kanter_round(c: float, beta: float, lam: float, k: int, rng) -> np.ndarray:
@@ -186,12 +195,12 @@ _LOCAL = threading.local()
 def _work(k: int) -> _Work:
     """This thread's work area, grown to hold k candidates.
 
-    The double rejection's rounds keep their temporaries there: glibc
+    The samplers' rounds keep their temporaries there: glibc
     returns a freed array of a round's size (2e4 candidates is 160 KB) to
     the system, and the next round faults its pages back in, about 470
     faults per such round when each made its own.  As k <= ``_BLOCK`` it
     peaks at 73 * 2^16 bytes, 4.6 MiB, and stays at its largest size.
-    Only the index lists of the kept candidates are made afresh.
+    Only the kept candidates and their index lists are made afresh.
     """
     ws = getattr(_LOCAL, "work", None)
     if ws is None or ws.mask.size < k:
@@ -517,13 +526,6 @@ def jump_intensity_above(p: OneSidedParams, floor: float) -> float:
     return p.alpha * p.lam**b * upper
 
 
-def _subfloor_moments(p: OneSidedParams, floor: float) -> tuple[float, float]:
-    # first two moments of the jump measure restricted below the floor:
-    # kappa_n times the regularized lower incomplete Gamma P(n - beta, lam h)
-    return tuple(cumulant_one_sided(p, n) * gammainc(n - p.beta, p.lam * floor)
-                 for n in (1, 2))
-
-
 def _sample_jump_sizes(p: OneSidedParams, floor: float, n: int, rng) -> np.ndarray:
     """Exact draws from the normalized jump density above the floor h.
 
@@ -531,8 +533,9 @@ def _sample_jump_sizes(p: OneSidedParams, floor: float, n: int, rng) -> np.ndarr
     accepted against the tempering factor e^(-lam (x-h)), and a shifted
     exponential beyond, accepted against the power factor
     (x/split)^(-1-beta).  One uniform picks the piece and, rescaled within
-    it, the candidate by inversion; a standard exponential above the
-    factor's negative log keeps it.
+    it, the candidate by inversion; a second uniform below the factor
+    keeps it.  A round writes v and then the factor in row 0 of the
+    thread's work area, x in row 1, the second uniform in row 2.
     """
     if n == 0:
         return np.empty(0)
@@ -550,70 +553,44 @@ def _sample_jump_sizes(p: OneSidedParams, floor: float, n: int, rng) -> np.ndarr
     p1 = w1 / (w1 + w2)
 
     def propose(k):
-        # in place: each fresh temporary of a block-sized round costs page faults
-        v = rng.random(k)
-        tail = np.flatnonzero(v >= p1)
-        x = np.minimum(v, p1)
-        x /= p1
-        if b > 0.0:
-            x *= floor**-b - split**-b
-            np.subtract(floor**-b, x, out=x)
-            np.power(x, -1.0 / b, out=x)
-        else:
-            np.power(split / floor, x, out=x)
-            x *= floor
+        ws = _work(k)
+        v, x, u = ws.rows[:3, :k]
+        rng.random(out=v)
+        tail = np.greater_equal(v, p1, out=ws.mask[:k]).nonzero()[0]
+        np.minimum(v, p1, out=x)
+        if b > 0.0:  # x = (h^-b - (v/p1) (h^-b - split^-b))^(-1/b)
+            x *= (split**-b - floor**-b) / p1
+            x += floor**-b
+            np.log(x, out=x)
+            x *= -1.0 / b
+        else:  # x = h (split/h)^(v/p1)
+            x *= math.log(split / floor) / p1
+            x += math.log(floor)
+        np.exp(x, out=x)
         x_tail = split - np.log1p(-(v[tail] - p1) / (1.0 - p1)) / lam
         x[tail] = x_tail
-        neg_log_ratio = np.subtract(x, floor, out=v)
-        neg_log_ratio *= lam
-        neg_log_ratio[tail] = (1.0 + b) * np.log(x_tail / split)
-        return x[np.flatnonzero(rng.standard_exponential(k) > neg_log_ratio)]
+        factor = np.multiply(x, -lam, out=v)
+        factor += lam * floor
+        np.exp(factor, out=factor)
+        factor[tail] = (x_tail / split) ** (-1.0 - b)
+        return x[np.less(rng.random(out=u), factor, out=ws.mask[:k])]
 
     return _rejection_fill(propose, n, "jump-size rejection")
 
 
-def _leg_increments_with_jumps(p: OneSidedParams, cfg: PathConfig, lam_tot: float, rng):
-    n = cfg.n_steps
-    n_jumps = int(rng.poisson(lam_tot * cfg.horizon))
-    t_jumps = np.sort(rng.uniform(0.0, cfg.horizon, n_jumps))
-    sizes = _sample_jump_sizes(p, cfg.jump_floor, n_jumps, rng)
-    step_idx = np.minimum((np.ceil(t_jumps / cfg.step)).astype(int) - 1, n - 1)
-    step_idx = np.maximum(step_idx, 0)
-    big = np.bincount(step_idx, weights=sizes, minlength=n)
-
-    m1, m2 = _subfloor_moments(p, cfg.jump_floor)
-    # Gamma increment matching the sub-floor mean and variance per step;
-    # higher moments of the remainder are approximated
-    shape = m1**2 * cfg.step / m2
-    scale = m2 / m1
-    remainder = rng.gamma(shape, scale, n)
-    return big + remainder, t_jumps, sizes
-
-
-def _merge_records(t_a: np.ndarray, x_a: np.ndarray, t_b: np.ndarray, x_b: np.ndarray):
-    """Two records sorted by time merged into one, a's first at equal
-    times: ``argsort(concatenate([t_a, t_b]), kind="stable")`` order,
-    from one ``searchsorted`` of the shorter record into the longer."""
-    n = t_a.size + t_b.size
-    if t_a.size <= t_b.size:
-        pos = np.searchsorted(t_b, t_a, side="left")
-        t_short, x_short, t_long, x_long = t_a, x_a, t_b, x_b
-    else:
-        pos = np.searchsorted(t_a, t_b, side="right")
-        t_short, x_short, t_long, x_long = t_b, x_b, t_a, x_a
-    pos += np.arange(pos.size)
-    rest = np.ones(n, dtype=bool)
-    rest[pos] = False
-    rest = rest.nonzero()[0]
-    times, sizes = np.empty(n), np.empty(n)
-    times[pos], sizes[pos] = t_short, x_short
-    times[rest], sizes[rest] = t_long, x_long
-    return times, sizes
+def _subfloor_steps(p: OneSidedParams, cfg: PathConfig, rng) -> np.ndarray:
+    # one Gamma increment per step with the mean and variance of the jumps
+    # below the floor h: kappa_n times the regularized lower incomplete
+    # Gamma P(n - beta, lam h); higher moments of the remainder are approximated
+    m1, m2 = (cumulant_one_sided(p, n) * gammainc(n - p.beta, p.lam * cfg.jump_floor)
+              for n in (1, 2))
+    return rng.gamma(m1**2 * cfg.step / m2, m2 / m1, cfg.n_steps)
 
 
 def leg_generators(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
-    """One Philox generator per leg (plus, minus), spawned from ``seed``."""
-    return tuple(np.random.Generator(np.random.Philox(child))
+    """One SFC64 generator per leg (plus, minus), spawned from ``seed``'s
+    ``SeedSequence``: 2.0 ns a uniform and 4.8 an exponential (Philox 5.7, 7.1)."""
+    return tuple(np.random.Generator(np.random.SFC64(child))
                  for child in np.random.SeedSequence(seed).spawn(2))
 
 
@@ -622,31 +599,54 @@ def simulate_path(p: TemperedStableParams, cfg: PathConfig) -> SamplePath:
 
     With ``jump_floor == 0`` each per-step increment is an exact draw of
     the step marginal and the jump record stays empty.  With a positive
-    floor, jumps at or above the floor are simulated individually (exact
-    compound-Poisson thinning of the jump measure) and recorded with
-    signs; the sub-floor remainder enters the path values only.  A floor
-    at which one leg expects more than ``_MAX_JUMPS`` jumps is a
-    ``DomainError`` before any draw.
+    floor, the jumps at or above it are recorded with signs: one stream at
+    the legs' summed rate, each jump the plus leg's with probability
+    r+/(r+ + r-), and a jump at time t in step ceil(t/step) - 1.  The
+    sub-floor remainder enters the path values only.  A floor at which one
+    leg expects more than ``_MAX_JUMPS`` jumps is a ``DomainError`` before
+    any draw.
     """
     rng_plus, rng_minus = leg_generators(cfg.seed)
     n = cfg.n_steps
     times = np.arange(n + 1) * cfg.step
 
     if cfg.jump_floor == 0.0:
-        inc_plus = sample_one_sided(p.plus, cfg.step, rng_plus, size=n)
-        inc_minus = sample_one_sided(p.minus, cfg.step, rng_minus, size=n)
-        jt = np.empty(0)
-        js = np.empty(0)
+        inc = sample_one_sided(p.plus, cfg.step, rng_plus, size=n)
+        inc -= sample_one_sided(p.minus, cfg.step, rng_minus, size=n)
+        jt = js = np.empty(0)
     else:
-        rates = [jump_intensity_above(leg, cfg.jump_floor) for leg in (p.plus, p.minus)]
-        if not all(rate * cfg.horizon <= _MAX_JUMPS for rate in rates):
-            raise DomainError(f"jump floor {cfg.jump_floor} expects {max(rates) * cfg.horizon:.3g}"
-                              f" recorded jumps on one leg (cap {_MAX_JUMPS})")
-        inc_plus, jt_p, sz_p = _leg_increments_with_jumps(p.plus, cfg, rates[0], rng_plus)
-        inc_minus, jt_m, sz_m = _leg_increments_with_jumps(p.minus, cfg, rates[1], rng_minus)
-        jt, js = _merge_records(jt_p, sz_p, jt_m, -sz_m)
+        r_plus, r_minus = (jump_intensity_above(leg, cfg.jump_floor) for leg in (p.plus, p.minus))
+        if not (most := max(r_plus, r_minus) * cfg.horizon) <= _MAX_JUMPS:
+            raise DomainError(f"jump floor {cfg.jump_floor} expects {most:.3g} recorded jumps"
+                              f" on one leg (cap {_MAX_JUMPS})")
+        n_jumps = int(rng_plus.poisson((r_plus + r_minus) * cfg.horizon))
+        # the first n_jumps partial sums of n_jumps + 1 exponentials, over
+        # the last and times T, are n_jumps sorted uniforms on [0, T]
+        jt = rng_plus.standard_exponential(n_jumps + 1)
+        np.cumsum(jt, out=jt)
+        jt = np.multiply(jt[:n_jumps], cfg.horizon / jt[-1], out=jt[:n_jumps])
+        js = rng_plus.random(n_jumps)  # each jump's leg label, then its signed size
+        js *= r_plus + r_minus
+        inc = np.zeros(n)
+        for lo in range(0, n_jumps, _BLOCK):  # so that the temporaries stay O(block)
+            t, x = jt[lo:lo + _BLOCK], js[lo:lo + _BLOCK]
+            up = np.flatnonzero(x < r_plus)  # no 0/0 when both rates are 0
+            down = np.flatnonzero(x >= r_plus)
+            x[up] = _sample_jump_sizes(p.plus, cfg.jump_floor, up.size, rng_plus)
+            minus = _sample_jump_sizes(p.minus, cfg.jump_floor, down.size, rng_minus)
+            x[down] = np.negative(minus, out=minus)
+            step = np.ceil(t / cfg.step).astype(np.intp)
+            step -= 1
+            np.clip(step, 0, n - 1, out=step)
+            first = step[0]  # t is sorted, so the block's steps are a run from here
+            step -= first
+            part = np.bincount(step, weights=x)
+            inc[first:first + part.size] += part
+        # drawn after the jumps, so that another remainder sampler leaves the record as it is
+        inc += _subfloor_steps(p.plus, cfg, rng_plus)
+        inc -= _subfloor_steps(p.minus, cfg, rng_minus)
 
-    values = np.concatenate(([0.0], np.cumsum(inc_plus - inc_minus)))
+    values = np.concatenate(([0.0], np.cumsum(inc)))
     return SamplePath(times=times, values=values, jump_times=jt,
                       jump_sizes=js, jump_floor=cfg.jump_floor)
 

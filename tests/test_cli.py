@@ -536,6 +536,19 @@ def test_diagnose_extreme_law_reports_null_tail_constant(runner, tmp_path, law):
     assert all(np.isfinite(report[key]) for key in ("mean", "variance", "kurtosis"))
 
 
+def test_diagnose_tail_constant_past_cancellation(runner, tmp_path):
+    # the legs' terms of Psi(lambda+) cancel from 3.5e50 to 3.54, which is
+    # kept, or from 3.5e14 past float precision, which is refused
+    for law, expected in (((1.0, 0.5, 1e100, 1.0, 0.5, 1.0), 34.63648830957976),
+                          ((1.0, 0.5, 1e28, 0.0015197193818580507, 0.6, 1.0), None)):
+        path = tmp_path / "law.json"
+        ts.save_params(ts.TemperedStableParams.create(*law), path)
+        result = runner.invoke(main, ["diagnose", "--params", str(path), "--json"])
+        assert result.exit_code == 0, result.output
+        tail = json.loads(result.stdout)["tail_constant"]
+        assert tail is None if expected is None else tail == pytest.approx(expected, rel=1e-13)
+
+
 def test_diagnose_keeps_its_report_when_the_tail_constant_overflows(runner, tmp_path):
     # far along the sequence the tail constant is alpha e^(1.17e18), while
     # the moments and the normal-approximation bound stay finite

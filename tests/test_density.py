@@ -626,6 +626,38 @@ class TestAsymptotics:
             ts.tail_constant(GAMMA_PROXY)
 
     @pytest.mark.parametrize("law", [
+        (1.0, 0.5, 1e100, 1.0, 0.5, 1.0),  # the legs' 3.5e50 cancel to 3.54
+        (1.0, 0.5, 1e20, 1.0, 0.5, 1.0),
+        (2.0, 0.4, 1e30, 2.0, 0.4, 1e-3),
+        (1.0, 0.3, 3.0, 2.0, 0.6, 4.0),
+        (0.3, 0.5, 1.0, 1e-9, 0.5, 2.0),
+        (1.0, 0.5, 1e-3, 3.0, 0.7, 1e12),  # the minus leg's own terms cancel
+    ])
+    def test_tail_constant_matches_mpmath(self, law):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(120):
+            ap, bp, lp, am, bm, lm = (mpmath.mpf(v) for v in law)
+            exponent = (ap * mpmath.gamma(1 - bp) / bp * lp**bp
+                        - am * mpmath.gamma(1 - bm) / bm * ((lm + lp)**bm - lm**bm))
+            expected = float(ap * mpmath.exp(exponent))
+        assert ts.tail_constant(TemperedStableParams.create(*law)) == pytest.approx(
+            expected, rel=1e-13)
+
+    def test_tail_constant_lost_to_rounding_is_domain_error(self):
+        # alpha- puts the minus leg's 3.5e14 on the plus leg's, with the legs'
+        # betas apart, so that no form of Psi(lambda+) keeps its digits;
+        # the true constant is moderate
+        mpmath = pytest.importorskip("mpmath")
+        law = (1.0, 0.5, 1e28, 0.0015197193818580507, 0.6, 1.0)
+        with mpmath.workdps(120):
+            ap, bp, lp, am, bm, lm = (mpmath.mpf(v) for v in law)
+            exponent = (ap * mpmath.gamma(1 - bp) / bp * lp**bp
+                        - am * mpmath.gamma(1 - bm) / bm * ((lm + lp)**bm - lm**bm))
+        assert abs(exponent) < 1.0
+        with pytest.raises(DomainError, match="lost to rounding"):
+            ts.tail_constant(TemperedStableParams.create(*law))
+
+    @pytest.mark.parametrize("law", [
         (1000.0, 0.5, 1000.0, 1.0, 0.5, 1.0), (10000.0, 0.01, 1.0, 1.0, 0.5, 1.0),
     ])
     def test_tail_constant_overflow_is_domain_error(self, law):
