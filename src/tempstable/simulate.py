@@ -19,10 +19,9 @@ the jump sizes of a floored path (one uniform picks the piece of a
 two-piece proposal and the candidate in it, a second accepts it), fill
 their draws through one rejection loop whose rounds are sized by the
 acceptance seen so far; it makes every draw in blocks, so the temporaries
-stay O(block) in size.  The double rejection's and the jump sizes'
-rounds, and Kanter's ln A(u), write their temporaries into a work area
-that each thread keeps (``_work``), so that its pages stay mapped from
-one round to the next.
+stay O(block) in size.  Every round writes its temporaries into a work
+area that each thread keeps (``_work``), so that its pages stay mapped
+from one round to the next.
 Paths are sums of per-step increments; when a jump record is requested,
 the two legs' jumps above the floor are one compound-Poisson stream at
 the summed rate whose jumps are labelled by leg (superposition and
@@ -115,22 +114,23 @@ class SamplePath:
     jump_floor: float = 0.0
 
 
-def _kanter_stable(c: float, beta: float, n: int, rng) -> np.ndarray:
+def _kanter_stable(c: float, beta: float, n: int, rng, ws: _Work | None = None) -> np.ndarray:
     """Positive stable draws with Laplace transform exp(-c s^beta).
 
     Kanter's ``c^(1/beta) (A(u)/w)^((1-beta)/beta)`` is evaluated in logs,
     so that no power of it overflows as beta -> 0 or beta -> 1; a draw
     beyond the float range comes out as inf.  (1-beta) ln A(u) is
     beta ln beta + (1-beta) ln(1-beta) - ln zeta^2(pi u), from
-    ``_log_zeta2`` in the thread's work area (a fresh one past ``_BLOCK``
-    draws).
+    ``_log_zeta2``.  Writes u in row 0 of ``ws`` (a fresh one by default)
+    and the draws in row 1, with rows 4-7 as ``_log_zeta2``'s.
     """
-    u = rng.random(n)
+    ws = _Work(n) if ws is None else ws
+    u = rng.random(out=ws.rows[0, :n])
     np.clip(u, 1e-16, 1.0 - 1e-16, out=u)
     u *= math.pi
-    lz = _log_zeta2(u, beta, _work(n) if n <= _BLOCK else _Work(n))
+    lz = _log_zeta2(u, beta, ws)
     with np.errstate(divide="ignore", over="ignore"):
-        log_s = np.log(rng.standard_exponential(n))
+        log_s = np.log(rng.standard_exponential(out=ws.rows[1, :n]), out=ws.rows[1, :n])
         log_s *= beta - 1.0
         log_s += math.log(c) + beta * math.log(beta) + (1.0 - beta) * math.log1p(-beta)
         log_s -= lz
@@ -140,10 +140,14 @@ def _kanter_stable(c: float, beta: float, n: int, rng) -> np.ndarray:
 
 def _kanter_round(c: float, beta: float, lam: float, k: int, rng) -> np.ndarray:
     """The accepted ones of k stable draws with scale c, each kept with
-    probability e^(-lam S): draws of the lam-tilted law."""
-    s = _kanter_stable(c, beta, k, rng)
-    with np.errstate(over="ignore"):
-        return s[rng.uniform(0.0, 1.0, k) < np.exp(-lam * s)]
+    probability e^(-lam S): draws of the lam-tilted law.  Past
+    ``_kanter_stable`` it writes e^(-lam S) in row 2 of the thread's work
+    area and the uniforms in row 3."""
+    ws = _work(k)
+    s = _kanter_stable(c, beta, k, rng, ws)
+    factor = np.multiply(s, -lam, out=ws.rows[2, :k])
+    np.exp(factor, out=factor)
+    return s[np.less(rng.random(out=ws.rows[3, :k]), factor, out=ws.mask[:k])]
 
 
 def _rejection_fill(propose, n: int, what: str) -> np.ndarray:
