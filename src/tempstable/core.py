@@ -1,16 +1,21 @@
-"""Transforms and exact parameter algebra of tempered stable laws.
+"""Transforms and exact parameter algebra of tempered stable laws, and the
+numerical parts that the other modules share.
 
-Everything here is closed-form: cumulant generating functions, the
+The transforms are closed-form: cumulant generating functions, the
 characteristic function (with its analytic extension into the strip used
 by Fourier pricing), cumulants and moment statistics, and the three exact
 operations on parameter records (convolution, scaling, time marginals).
+The shared parts are the density's and the call price's half-line Fourier
+sum (``_fourier_sum``), a monotone root search and argument checks.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
+from scipy.optimize import brentq
 from scipy.special import expm1, gamma as _gamma, log1p
 
 from .errors import DomainError
@@ -304,3 +309,111 @@ def third_moment_one_sided(p: OneSidedParams) -> float:
     if not math.isfinite(m3):
         raise DomainError(f"the third moment overflows for this law: {m3}")
     return m3
+
+
+def _integer_at_least(name: str, value, least: int) -> int:
+    """``value`` as an int, through ``operator.index``; a float, NaN or any
+    other non-integer, or an integer below ``least``, is a DomainError."""
+    try:
+        n = operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None
+    if n < least:
+        raise DomainError(f"{name} must be at least {least}, got {n}")
+    return n
+
+
+def _require_positive_betas(p: TemperedStableParams, what: str) -> None:
+    if p.plus.beta == 0.0 or p.minus.beta == 0.0:
+        raise DomainError(f"{what} requires both stability legs in (0, 1)")
+
+
+def _scaled_exp(what: str, scale: float, exponent: float) -> float:
+    # scale * e^exponent, with a typed error where it leaves the float range
+    try:
+        c = scale * math.exp(exponent)
+    except OverflowError:
+        c = math.inf
+    if not math.isfinite(c):
+        raise DomainError(
+            f"{what} overflows for this law: {scale:.6g} * exp({exponent:.6g}) is not finite"
+        )
+    return c
+
+
+#: brentq's stopping bracket, a few floats wide (its least rtol, 4 eps), below
+#: which the root solve bisects to adjacent floats
+_XTOL, _RTOL = 1e-300, 8.9e-16
+
+
+def _increasing_root(f, lo: float, hi: float) -> tuple[float, tuple[float, float]]:
+    """Root of the increasing ``f`` on [lo, hi], to the float.
+
+    Returns ``lo`` when f(lo) >= 0 and ``hi`` when f(hi) <= 0, each with
+    that end's value twice.  Otherwise brentq closes in to a few floats,
+    every value it takes narrowing the bracket, and bisection finishes at
+    the adjacent floats a < b with f(a) < 0 <= f(b), unless the search
+    meets f = 0 on the way.  It returns the float of least |f| that the
+    search met, at worst the better of a and b, with (f(a), f(b)).
+    """
+    f_a, f_b = f(lo), f(hi)
+    if f_a >= 0.0:
+        return lo, (f_a, f_a)
+    if f_b <= 0.0:
+        return hi, (f_b, f_b)
+    a, b, best = lo, hi, min((-f_a, lo), (f_b, hi))
+
+    def probe(m):
+        # brentq starts at lo and hi; every later value lies inside the bracket
+        nonlocal a, b, f_a, f_b, best
+        if not a < m < b:
+            return f_a if m == a else f_b
+        f_m = f(m)
+        best = min(best, (abs(f_m), m))
+        if f_m < 0.0:
+            a, f_a = m, f_m
+        else:
+            b, f_b = m, f_m
+        return f_m
+
+    # brentq's bracket may stay wider in noise or at its iteration cap; the
+    # bisection below ends the search either way
+    brentq(probe, lo, hi, xtol=_XTOL, rtol=_RTOL, disp=False)
+    while best[0] > 0.0 and math.nextafter(a, b) < b:
+        probe(a + 0.5 * (b - a))
+    return best[1], (f_a, f_b)
+
+
+def _factored_blocks(c: np.ndarray) -> np.ndarray:
+    """The k >= 1 coefficients ``c`` as a b x a matrix for ``_fourier_sum``,
+    c_k in row i, column j with k = j b + i, zero-padded past k."""
+    k = c.size
+    b = math.isqrt(k - 1) + 1
+    a = -(-k // b)
+    return np.pad(c, (0, a * b - k)).reshape(a, b).T
+
+
+def _fourier_sum(x, blocks: np.ndarray, dz: float):
+    """Re sum_k c_k e^(-i x k dz), scalar or 1-d x, for the coefficients laid
+    out by ``_factored_blocks``.  This is sum_j e^(-i x j b dz) sum_i
+    e^(-i x i dz) c_k: a + b exponentials per point and one matrix product,
+    against a b for the direct sum.  The density's ``pdf`` and ``mode`` and
+    the Fourier call price all sum through it, 4e6 // (a + b) points at a
+    time, so that the two exponential factors stay near 4e6 entries.  For
+    one point the product is a vector times a matrix, which OpenBLAS splits
+    across threads from 4096 entries, and the wait for the second thread
+    costs more than the product (8 ms on a busy 2-CPU host), so it runs as
+    ``einsum`` on the calling thread; more points keep BLAS ``matmul``."""
+    b, a = blocks.shape
+    chunk = int(4e6) // (a + b)
+    if np.size(x) > chunk:
+        return np.concatenate([_fourier_sum(x[i:i + chunk], blocks, dz)
+                               for i in range(0, x.size, chunk)])
+    kern = np.multiply.outer(x, -1j * dz * np.arange(b))
+    np.exp(kern, out=kern)
+    part = np.einsum("...i,ij->...j", kern, blocks) if np.size(x) == 1 else kern @ blocks
+    del kern  # the chunk's largest array, freed before the next ones
+    theta = np.multiply.outer(x, (b * dz) * np.arange(a))
+    # Re(e^(-i theta) part), summed over j
+    return (np.einsum("...j,...j->...", np.cos(theta), part.real)
+            + np.einsum("...j,...j->...", np.sin(theta), part.imag))

@@ -11,10 +11,12 @@ sum's period: within +-11.9 sd the error reaches 3.2e-10 of the peak
 on the README law and 2.4e-8 on TS(1,.5,1; 1,.5,1).  The grid is
 planned adaptively: the frequency extent grows until the characteristic
 function is below a floor at the boundary, and the node count follows
-from the required x-resolution.  The transform is then evaluated only on
-its numerical support, the nodes before its tail falls below the sum's
-roundoff; the grid zero-pads the rest, and the bulk error stays about
-1e-16 of the peak.
+from the required x-resolution.  The same pass over the extents bounds
+the transform's numerical support, the nodes before its tail falls below
+the sum's roundoff, and the transform is evaluated once, on those nodes;
+the grid zero-pads the rest, and the bulk error stays about 1e-16 of the
+peak.  Pointwise pdf and the mode sum the support through
+``core._fourier_sum``, the half-line sum that the call price uses too.
 """
 
 from __future__ import annotations
@@ -27,6 +29,12 @@ import numpy as np
 from scipy.special import gamma as _gamma, wrightomega
 
 from .core import (
+    _factored_blocks,
+    _fourier_sum,
+    _increasing_root,
+    _integer_at_least,
+    _require_positive_betas,
+    _scaled_exp,
     cf,
     cgf_one_sided,
     cumulant,
@@ -35,7 +43,6 @@ from .core import (
     log_cf,
 )
 from .errors import ConvergenceError, DomainError
-from .measure import _increasing_root, _require_positive_betas
 from .params import OneSidedParams, TemperedStableParams
 
 
@@ -58,14 +65,9 @@ class InversionSettings:
     def __post_init__(self):
         if not (math.isfinite(self.extent_sd) and self.extent_sd > 0.0):
             raise DomainError(f"extent_sd must be finite and positive, got {self.extent_sd}")
-        if not self.nodes >= 1:
-            raise DomainError(f"nodes must be at least 1, got {self.nodes}")
         if not (0.0 < self.cf_floor < 1.0):
             raise DomainError(f"cf_floor must lie in (0, 1), got {self.cf_floor}")
-        if not self.max_nodes >= self.nodes:
-            raise DomainError(
-                f"max_nodes must be at least nodes = {self.nodes}, got {self.max_nodes}"
-            )
+        _integer_at_least("max_nodes", self.max_nodes, _integer_at_least("nodes", self.nodes, 1))
 
 
 @dataclass
@@ -114,7 +116,8 @@ class DensityEvaluator:
         # the first extent z_first 2^j, j = 0..80, where |phi| is below the floor
         z_first = max(16.0 / sigma, 4.0 * (self.params.plus.lam + self.params.minus.lam))
         z_try = z_first * 2.0 ** np.arange(81)
-        below = np.flatnonzero(log_cf(self.params, z_try).real < math.log(s.cf_floor))
+        log_abs = log_cf(self.params, z_try).real
+        below = np.flatnonzero(log_abs < math.log(s.cf_floor))
         if not below.size:
             raise ConvergenceError(
                 f"characteristic function does not reach the floor {s.cf_floor}; "
@@ -136,18 +139,13 @@ class DensityEvaluator:
         # (0, 1) the real part of (lam + iw)^beta grows with w; Gamma legs
         # decay as (lam^2 + w^2)^(-alpha/2)), so the nodes from k on add at
         # most (n - k)|phi_k|.  Past the first such K where that is <= 1e-16
-        # the sum gains nothing above its own roundoff, so phi is evaluated
-        # in ascending blocks of 256, 512, ... nodes until one holds K.
-        parts, start, size = [], 0, 256
-        while start < n:
-            j = np.arange(start, min(start + size, n))
-            parts.append(cf(self.params, dz * j))
-            negligible = np.flatnonzero((n - j) * np.abs(parts[-1]) <= 1e-16)
-            if negligible.size:
-                parts[-1] = parts[-1][:negligible[0]]
-                break
-            start, size = start + size, 2 * size
-        phi = self._phi = np.concatenate(parts)  # a copy: no block outlives the plan
+        # the sum gains nothing above its own roundoff.  Any node past the first
+        # extent where |phi| <= 1e-16/n is past K, so phi is evaluated to there.
+        reach = np.flatnonzero(log_abs <= math.log(1e-16 / n))
+        k = np.arange(min(n, math.ceil(z_try[reach[0]] / dz) + 1) if reach.size else n)
+        phi = cf(self.params, dz * k)
+        cut = np.flatnonzero((n - k) * np.abs(phi) <= 1e-16)
+        phi = self._phi = phi[:cut[0]].copy() if cut.size else phi  # frees the nodes past K
         phi[0] *= 0.5  # half weight at the origin of the half-line rule
         self._support = phi.size
         self._blocks = _factored_blocks(phi)  # never empty: node 0 carries |phi| = 1/2
@@ -199,11 +197,8 @@ class DensityEvaluator:
         if np.isnan(xs).any():
             raise DomainError("density evaluated at a NaN point")
         out = np.zeros_like(xs)
-        inside = np.flatnonzero((xs >= self._x_lo) & (xs < self._x_lo + self._n * self._dx))
-        chunk = int(4e6) // sum(self._blocks.shape)
-        for i in range(0, inside.size, chunk):
-            idx = inside[i:i + chunk]
-            out[idx] = (self._dz / math.pi) * _fourier_sum(xs[idx], self._blocks, self._dz)
+        inside = (xs >= self._x_lo) & (xs < self._x_lo + self._n * self._dx)
+        out[inside] = (self._dz / math.pi) * _fourier_sum(xs[inside], self._blocks, self._dz)
         out = np.maximum(out, 0.0).reshape(shape)
         return float(out) if not shape else out
 
@@ -234,36 +229,6 @@ class DensityEvaluator:
         lo, hi = g.x[max(i - 1, 0)], g.x[min(i + 1, self._n - 1)]
         slope = _factored_blocks(self._phi * (-1j * self._dz * np.arange(self._support)))
         return float(_increasing_root(lambda x: -_fourier_sum(x, slope, self._dz), lo, hi)[0])
-
-
-def _factored_blocks(c: np.ndarray) -> np.ndarray:
-    """The k >= 1 coefficients ``c`` as a b x a matrix for ``_fourier_sum``,
-    c_k in row i, column j with k = j b + i, zero-padded past k."""
-    k = c.size
-    b = math.isqrt(k - 1) + 1
-    a = -(-k // b)
-    return np.pad(c, (0, a * b - k)).reshape(a, b).T
-
-
-def _fourier_sum(x, blocks: np.ndarray, dz: float):
-    """Re sum_k c_k e^(-i x k dz), scalar or 1-d x, for the coefficients laid
-    out by ``_factored_blocks``.  This is sum_j e^(-i x j b dz) sum_i
-    e^(-i x i dz) c_k: a + b exponentials per point and one matrix product,
-    against a b for the direct sum.  The density's ``pdf`` and ``mode`` and
-    the Fourier call price all sum through it.  For one point the product
-    is a vector times a matrix, which OpenBLAS splits across threads from
-    4096 entries, and the wait for the second thread costs more than the
-    product (8 ms on a busy 2-CPU host), so it runs as ``einsum`` on the
-    calling thread; more points keep BLAS ``matmul``."""
-    b, a = blocks.shape
-    kern = np.multiply.outer(x, -1j * dz * np.arange(b))
-    np.exp(kern, out=kern)
-    part = np.einsum("...i,ij->...j", kern, blocks) if np.size(x) == 1 else kern @ blocks
-    del kern  # the chunk's largest array, freed before the next ones
-    theta = np.multiply.outer(x, (b * dz) * np.arange(a))
-    # Re(e^(-i theta) part), summed over j
-    return (np.einsum("...j,...j->...", np.cos(theta), part.real)
-            + np.einsum("...j,...j->...", np.sin(theta), part.imag))
 
 
 def pdf(p: TemperedStableParams, x, settings: InversionSettings | None = None):
@@ -391,16 +356,3 @@ def _tail_exponent(p: TemperedStableParams) -> tuple[float, float]:
     return min((a - b, eps * (a + b * (1.0 + bm * math.log1p(lp / lm)))),
                (head - a * e, eps * (head + a * abs(e) + a * (1.0 + e) * spread)),
                key=lambda form: form[1])
-
-
-def _scaled_exp(what: str, scale: float, exponent: float) -> float:
-    # scale * e^exponent, with a typed error where it leaves the float range
-    try:
-        c = scale * math.exp(exponent)
-    except OverflowError:
-        c = math.inf
-    if not math.isfinite(c):
-        raise DomainError(
-            f"{what} overflows for this law: {scale:.6g} * exp({exponent:.6g}) is not finite"
-        )
-    return c

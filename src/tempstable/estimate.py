@@ -20,10 +20,10 @@ import numpy as np
 from scipy.optimize import root
 from scipy.special import digamma, gamma as _gamma, gammaln
 
-from .core import _ORDERS, _leg_kappas, _population_kappa as population_kappa
+from .core import (_ORDERS, _integer_at_least, _leg_kappas, _population_kappa as population_kappa,
+                   _require_positive_betas)
 from .errors import DomainError, InfeasibleCumulantsError
 from .limits import alpha_pair_for_moments
-from .measure import _require_positive_betas
 from .params import CumulantVector, OneSidedParams, TemperedStableParams
 
 _LOGIT_CLIP = 30.0
@@ -174,8 +174,7 @@ def _from_unconstrained(u) -> tuple:
 def _validate(k, tol: float, max_iter: int) -> np.ndarray:
     """The six cumulants of ``k``, once both fits' inputs are checked."""
     # MINPACK reads a non-positive evaluation cap as "use the default"
-    if not max_iter >= 1:
-        raise DomainError(f"max_iter must be at least 1, got {max_iter}")
+    _integer_at_least("max_iter", max_iter, 1)
     # an infinite tol would call any fit converged, a nan or negative one none
     if not 0.0 < tol < math.inf:
         raise DomainError(f"tol must be positive and finite, got {tol}")

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import cumulant_one_sided, moment_stats
+from .core import _integer_at_least, cumulant_one_sided, moment_stats
 from .errors import DomainError
 from .params import OneSidedParams, TemperedStableParams
 
@@ -77,8 +77,10 @@ def clt_min_index(beta_plus: float, lambda_plus: float,
                   mu: float, sigma2: float) -> int:
     """Smallest sequence index with both intensity legs positive, that is
     (1-b-) mu + l- sigma2 sqrt(n) > 0 and (b+ - 1) mu + l+ sigma2 sqrt(n) > 0."""
-    if not (sigma2 > 0.0):
-        raise DomainError("target variance must be positive")
+    if not (sigma2 > 0.0 and math.isfinite(mu)):
+        raise DomainError(f"need a positive target variance and a finite mean, got {sigma2}, {mu}")
+    for beta, lam in ((beta_plus, lambda_plus), (beta_minus, lambda_minus)):
+        OneSidedParams(1.0, beta, lam)  # a DomainError outside a leg's domain
     root = max(0.0, -(1.0 - beta_minus) * mu / (lambda_minus * sigma2),
                (1.0 - beta_plus) * mu / (lambda_plus * sigma2))
     return math.floor(root**2) + 1
@@ -98,8 +100,7 @@ def clt_sequence(mu: float, sigma2: float,
     eps * kappa1+ = 1.48e-7.
     """
     n0 = clt_min_index(beta_plus, lambda_plus, beta_minus, lambda_minus, mu, sigma2)
-    if n < n0:
-        raise DomainError(f"sequence index n={n} below the first feasible index n0={n0}")
+    n = _integer_at_least("the sequence index n", n, n0)
     rn = math.sqrt(n)
     a_plus, a_minus = alpha_pair_for_moments(
         beta_plus, lambda_plus * rn, beta_minus, lambda_minus * rn, mu, sigma2

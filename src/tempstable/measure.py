@@ -17,9 +17,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .core import cgf, cgf_one_sided, leg_exponent
+from .core import _increasing_root, _require_positive_betas, cgf, cgf_one_sided, leg_exponent
 from .errors import ConvergenceError, DomainError, NoMartingaleMeasureError
 from .params import TemperedStableParams
 
@@ -27,10 +26,6 @@ from .params import TemperedStableParams
 MARTINGALE_RESIDUAL_TOL = 1e-10
 
 _REL_TOL = 1e-12
-
-#: brentq's stopping bracket, a few floats wide (its least rtol, 4 eps), below
-#: which the root solve bisects to adjacent floats
-_XTOL, _RTOL = 1e-300, 8.9e-16
 
 #: lower end of the clipped search interval for the downward curve tilt
 _THETA_FLOOR = -1e6
@@ -95,8 +90,8 @@ def density_process_log(p: TemperedStableParams, t: EsscherPair,
                         x_plus, x_minus, time: float):
     """Log likelihood of the bilateral tilt given the two subordinator
     components at the given time.  Accepts arrays for the components."""
-    if not (time > 0.0):
-        raise DomainError("time must be positive")
+    if not (0.0 < time < math.inf):
+        raise DomainError(f"time must be positive and finite, got {time}")
     xp = np.asarray(x_plus, dtype=float)
     xm = np.asarray(x_minus, dtype=float)
     if not (np.all((xp >= 0.0) & (xp < np.inf)) and np.all((xm >= 0.0) & (xm < np.inf))):
@@ -106,11 +101,6 @@ def density_process_log(p: TemperedStableParams, t: EsscherPair,
     out = (t.theta_plus * xp - log_norm_plus * time
            + t.theta_minus * xm - log_norm_minus * time)
     return float(out) if out.ndim == 0 else out
-
-
-def _require_positive_betas(p: TemperedStableParams, what: str) -> None:
-    if p.plus.beta == 0.0 or p.minus.beta == 0.0:
-        raise DomainError(f"{what} requires both stability legs in (0, 1)")
 
 
 def _plus_part(p: TemperedStableParams, theta: float) -> float:
@@ -306,44 +296,6 @@ def minimal_martingale(p: TemperedStableParams, r: float, q_div: float) -> Minim
     combined = sum(cgf(f, 1.0) for f in factors if f is not None)
     _check_residual(abs(combined - (r - q_div)))
     return MinimalMartingaleResult(c=c, exists=True, factors=factors)
-
-
-def _increasing_root(f, lo: float, hi: float) -> tuple[float, tuple[float, float]]:
-    """Root of the increasing ``f`` on [lo, hi], to the float.
-
-    Returns ``lo`` when f(lo) >= 0 and ``hi`` when f(hi) <= 0, each with
-    that end's value twice.  Otherwise brentq closes in to a few floats,
-    every value it takes narrowing the bracket, and bisection finishes at
-    the adjacent floats a < b with f(a) < 0 <= f(b), unless the search
-    meets f = 0 on the way.  It returns the float of least |f| that the
-    search met, at worst the better of a and b, with (f(a), f(b)).
-    """
-    f_a, f_b = f(lo), f(hi)
-    if f_a >= 0.0:
-        return lo, (f_a, f_a)
-    if f_b <= 0.0:
-        return hi, (f_b, f_b)
-    a, b, best = lo, hi, min((-f_a, lo), (f_b, hi))
-
-    def probe(m):
-        # brentq starts at lo and hi; every later value lies inside the bracket
-        nonlocal a, b, f_a, f_b, best
-        if not a < m < b:
-            return f_a if m == a else f_b
-        f_m = f(m)
-        best = min(best, (abs(f_m), m))
-        if f_m < 0.0:
-            a, f_a = m, f_m
-        else:
-            b, f_b = m, f_m
-        return f_m
-
-    # brentq's bracket may stay wider in noise or at its iteration cap; the
-    # bisection below ends the search either way
-    brentq(probe, lo, hi, xtol=_XTOL, rtol=_RTOL, disp=False)
-    while best[0] > 0.0 and math.nextafter(a, b) < b:
-        probe(a + 0.5 * (b - a))
-    return best[1], (f_a, f_b)
 
 
 def _check_residual(residual: float, neighbours: tuple[float, float] | None = None) -> None:

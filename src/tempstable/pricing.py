@@ -7,8 +7,9 @@ between 1 and the upward tempering rate gives the same price, which
 doubles as a built-in correctness check.  Only the grid's step depends
 on the strike, so the plan and the weighted transform of one law,
 maturity and height are cached, and the strikes of one maturity share
-them.  A Monte-Carlo pricer over exact terminal draws serves as the
-independent cross-check.
+them; each strike's sum is ``core._fourier_sum``, the density's too.  A
+Monte-Carlo pricer over exact terminal draws serves as the independent
+cross-check.
 """
 
 from __future__ import annotations
@@ -20,12 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import cgf, log_cf, marginal
-from .density import _factored_blocks, _fourier_sum, _scaled_exp
+from .core import (_factored_blocks, _fourier_sum, _integer_at_least, _scaled_exp, cgf, log_cf,
+                   marginal)
 from .errors import ConvergenceError, DomainError
 from .measure import EsscherPair, bilateral_esscher, check_market
 from .params import TemperedStableParams
-from .simulate import _integer_at_least, leg_generators, sample_one_sided
+from .simulate import leg_generators, sample_one_sided
 
 #: candidate extents of the integral, node cap of one price's grid, ln(1/eps)
 #: for the aliasing error eps*S0 allowed on each side, ln of the largest sum
@@ -93,7 +94,7 @@ def call_price_fourier(p_q: TemperedStableParams, market: MarketConfig,
     U]``, ``n`` the least power of two at or above the node count, so
     that nearby strikes share a grid (4 entries of about ``16 n`` bytes:
     16 MiB each at the ``2^20`` cap, 64 MiB at most).  Each strike's sum
-    ``Re sum c_j e^{i k u_j}`` is then one ``density._fourier_sum``; a
+    ``Re sum c_j e^{i k u_j}`` is then one ``core._fourier_sum``; a
     price does not depend on what the caches hold.
     """
     if nu is None:
@@ -163,7 +164,7 @@ def _contour_plan(p_q: TemperedStableParams, maturity: float, nu: float) -> tupl
 def _weighted_transform(p_q: TemperedStableParams, maturity: float, nu: float,
                         n: int) -> tuple[np.ndarray, float]:
     """The trapezoid weights times ``_transform`` on ``n + 1`` nodes over
-    ``[0, U]``, read-only, in ``density._factored_blocks``'s layout; and
+    ``[0, U]``, read-only, in ``core._factored_blocks``'s layout; and
     the step."""
     psi_nu, p_nu, upper = _contour_plan(p_q, maturity, nu)[:3]
     du = upper / n
@@ -180,8 +181,7 @@ def mc_call_price(p_q: TemperedStableParams, market: MarketConfig,
     discounted put payoff plus ``e^{-rT}(S0 e^{T Psi(1)} - K)`` by parity.
     The put payoff is bounded by K, so its error bar holds even when the
     call payoff has infinite variance (lambda+ <= 2)."""
-    if n_paths < 1000:
-        raise DomainError("need at least 1000 paths for a meaningful estimate")
+    _integer_at_least("n_paths", n_paths, 1000)  # fewer give no meaningful estimate
     _integer_at_least("seed", seed, 0)
     forward = _scaled_exp("the forward", market.s0, option.maturity * cgf(p_q, 1.0))
     x_plus, x_minus = (sample_one_sided(leg, option.maturity, rng, size=n_paths)

@@ -35,14 +35,13 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 import threading
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import exp1, gamma as _gamma, gammainc, gammaincc, zeta
 
-from .core import cumulant_one_sided
+from .core import _integer_at_least, cumulant_one_sided
 from .errors import ConvergenceError, DomainError
 from .params import OneSidedParams, TemperedStableParams
 
@@ -66,18 +65,6 @@ _GUIDE = 1 << 12
 _SERIES_EDGE = 0.5
 _SINC_SERIES_K = np.arange(1, 13)
 _SINC_SERIES = zeta(2.0 * _SINC_SERIES_K) / _SINC_SERIES_K
-
-
-def _integer_at_least(name: str, value, least: int) -> int:
-    """``value`` as an int, through ``operator.index``; a float, NaN or any
-    other non-integer, or an integer below ``least``, is a DomainError."""
-    try:
-        n = operator.index(value)
-    except TypeError:
-        raise DomainError(f"{name} must be an integer, got {value!r}") from None
-    if n < least:
-        raise DomainError(f"{name} must be at least {least}, got {n}")
-    return n
 
 
 @dataclass(frozen=True)
@@ -693,8 +680,8 @@ def jump_bin_counts(path: SamplePath, p_assumed: OneSidedParams, n_bins: int) ->
 def empirical_p_variation(path: SamplePath, p_exp: float) -> float:
     """Sum of |increment|^p over the observation grid (a lower bound for
     the mesh supremum, consistent as the step shrinks)."""
-    if not (p_exp > 0.0):
-        raise DomainError("variation exponent must be positive")
+    if not (0.0 < p_exp < math.inf):
+        raise DomainError(f"variation exponent must be positive and finite, got {p_exp}")
     return float(np.sum(np.abs(np.diff(path.values)) ** p_exp))
 
 

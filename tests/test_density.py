@@ -21,7 +21,7 @@ from tempstable import (
     OneSidedParams,
     TemperedStableParams,
 )
-from tempstable.density import _fourier_sum
+from tempstable.core import _fourier_sum
 
 from conftest import inversion_cost_ok, random_params
 
@@ -31,6 +31,8 @@ README_LAW = TemperedStableParams.create(1.0, 0.3, 3.0, 2.0, 0.6, 4.0)
 # small stability indices: the node count follows from the frequency
 # extent and |phi| never drops below 1e-16 on the planned grid
 SLOW_LAW = TemperedStableParams.create(1.0, 0.1, 1.0, 1.0, 0.1, 1.0)
+# support K = 1220 of 16384 nodes, past the first 256 (and 768)
+PAST_FIRST_BLOCK_LAW = TemperedStableParams.create(1.0, 0.4, 1.0, 1.0, 0.4, 1.0)
 # the analytic mode bracket reaches below the +-12 sd window, where the
 # pointwise Fourier sum repeats the density one window period away
 WIDE_BRACKET_LAW = TemperedStableParams.create(3.0, 0.95, 1.0, 1.0, 0.5, 1.0)
@@ -179,13 +181,25 @@ class TestSupportTruncation:
         assert np.all(ref > 0.0)
         assert np.max(np.abs(ev.pdf(xs) - ref) / ref) < 1e-10
 
-    def test_support_is_the_first_negligible_node_of_the_full_plan(self):
-        meta = ts.DensityEvaluator(README_LAW).grid().meta
+    @pytest.mark.parametrize("law, settings, least", [
+        (README_LAW, None, 0),
+        (PAST_FIRST_BLOCK_LAW, None, 256),
+        (SLOW_LAW, None, None),
+        (GAMMA_PROXY, GAMMA_SETTINGS, None),
+    ], ids=["readme", "past-256", "slow-decay", "gamma-leg"])
+    def test_support_is_the_first_negligible_node_of_the_full_plan(self, law, settings, least):
+        # the plan evaluates phi once, up to the extent that bounds K; K must
+        # be the first negligible node of all n, or n where none is (least
+        # None), and lie past ``least`` otherwise
+        meta = ts.DensityEvaluator(law, settings).grid().meta
         n = meta["nodes"]
-        phi = ts.cf(README_LAW, meta["dz"] * np.arange(n))
+        phi = ts.cf(law, meta["dz"] * np.arange(n))
         phi[0] *= 0.5
-        first = np.flatnonzero((n - np.arange(n)) * np.abs(phi) <= 1e-16)[0]
-        assert meta["support"] == first < n
+        negligible = np.flatnonzero((n - np.arange(n)) * np.abs(phi) <= 1e-16)
+        if least is None:
+            assert meta["support"] == n and negligible.size == 0
+        else:
+            assert least < meta["support"] == negligible[0] < n
 
     def test_plan_retains_only_the_support(self):
         ts.DensityEvaluator(README_LAW)  # lazy imports and caches outside the trace

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -136,6 +137,20 @@ class TestCltSequence:
         assert n0 > 1
         with pytest.raises(DomainError):
             ts.clt_sequence(5.0, 0.01, 0.1, 0.5, 0.1, 0.5, n0 - 1)
+
+    @pytest.mark.parametrize("bad", range(5), ids=["mu", "beta-plus", "lambda-plus",
+                                                   "beta-minus", "lambda-minus"])
+    def test_nan_inputs_rejected(self, bad):
+        # each gave the first index 1, as max() drops a NaN comparison
+        args = [0.5, 0.3, 1.2, 0.7, 0.8]  # mu, then each leg's beta and lambda
+        args[bad] = math.nan
+        mu, legs = args[0], args[1:]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="finite mean|beta must|lambda must"):
+                ts.clt_min_index(*legs, mu, 1.0)
+            with pytest.raises(DomainError, match="finite mean|beta must|lambda must"):
+                ts.clt_sequence(mu, 1.0, *legs, 10)
 
     def test_negative_mean_binds_the_other_leg(self):
         mu, sigma2 = -4.0, 0.02

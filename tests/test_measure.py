@@ -17,7 +17,7 @@ from tempstable import (
     TemperedStableParams,
     TempStableError,
 )
-from tempstable.measure import _increasing_root
+from tempstable.core import _increasing_root
 
 
 @pytest.fixture
@@ -140,6 +140,9 @@ class TestDensityProcess:
             for xp, xm in ((bad, 1.0), (1.0, bad), (np.array([1.0, bad]), 1.0)):
                 with pytest.raises(DomainError, match="nonnegative and finite"):
                     ts.density_process_log(skewed, EsscherPair(0.0, 0.1), xp, xm, 1.0)
+            # an infinite time gave -inf, a log likelihood of no law
+            with pytest.raises(DomainError, match="time must be positive and finite"):
+                ts.density_process_log(skewed, EsscherPair(0.0, 0.1), 1.0, 1.0, bad)
 
     def test_rejects_negative_components(self, skewed):
         with pytest.raises(DomainError):

@@ -109,20 +109,32 @@ def test_cumulant_vector_is_single_cumulants_bit_for_bit(plus, minus):
 _LAW = TemperedStableParams.create(1.0, 0.3, 3.0, 2.0, 0.6, 4.0)
 
 
-@pytest.mark.parametrize("call", [
-    lambda: ts.PathConfig(horizon=1.0, step=0.1, seed=1.5),
-    lambda: ts.mc_call_price(_LAW, ts.MarketConfig(s0=1.0, r=0.0), ts.OptionSpec(1.0, 1.0),
-                             1000, 1.5),
-    lambda: ts.sample_one_sided(_LAW.plus, 1.0, np.random.default_rng(1), size=math.nan),
-    lambda: ts.sample_one_sided(_LAW.plus, 1.0, np.random.default_rng(1), size=2.5),
-    lambda: ts.sample_one_sided(_LAW.plus, 1.0, np.random.default_rng(1), size="3"),
-    lambda: ts.jump_bin_counts(ts.simulate_path(_LAW, ts.PathConfig(1.0, 0.1, 1, jump_floor=1e-3)),
-                               _LAW.plus, 2.5),
-], ids=["path-seed", "mc-seed", "size-nan", "size-fraction", "size-string", "band-count"])
-def test_integer_arguments_refuse_non_integers(call):
-    # a seed, size or band count that is not an integer is a typed
-    # refusal, not numpy's TypeError or ValueError and not a truncation
+_MARKET, _OPTION = ts.MarketConfig(s0=1.0, r=0.0), ts.OptionSpec(1.0, 1.0)
+
+
+@pytest.mark.parametrize("name, call", [
+    ("seed", lambda: ts.PathConfig(horizon=1.0, step=0.1, seed=1.5)),
+    ("seed", lambda: ts.mc_call_price(_LAW, _MARKET, _OPTION, 1000, 1.5)),
+    ("size", lambda: ts.sample_one_sided(_LAW.plus, 1.0, np.random.default_rng(1), size=math.nan)),
+    ("size", lambda: ts.sample_one_sided(_LAW.plus, 1.0, np.random.default_rng(1), size=2.5)),
+    ("size", lambda: ts.sample_one_sided(_LAW.plus, 1.0, np.random.default_rng(1), size="3")),
+    ("the band count", lambda: ts.jump_bin_counts(
+        ts.simulate_path(_LAW, ts.PathConfig(1.0, 0.1, 1, jump_floor=1e-3)), _LAW.plus, 2.5)),
+    ("nodes", lambda: ts.DensityEvaluator(_LAW, InversionSettings(nodes=20000.5))),
+    ("max_nodes", lambda: InversionSettings(max_nodes=2.0**20)),
+    ("max_iter", lambda: ts.fit_two_sided(ts.cumulant_vector(_LAW), _LAW, max_iter=2.5)),
+    ("max_iter", lambda: ts.multistart_fit_two_sided(ts.cumulant_vector(_LAW), max_iter=2.5)),
+    ("n_paths", lambda: ts.mc_call_price(_LAW, _MARKET, _OPTION, 1500.5, 1)),
+    ("n_paths", lambda: ts.mc_call_price(_LAW, _MARKET, _OPTION, math.nan, 1)),
+    ("the sequence index n", lambda: ts.clt_sequence(0.0, 1.0, 0.5, 1.0, 0.5, 1.0, 2.5)),
+], ids=["path-seed", "mc-seed", "size-nan", "size-fraction", "size-string", "band-count",
+        "inversion-nodes", "inversion-max-nodes", "fit-max-iter", "multistart-max-iter",
+        "mc-paths-fraction", "mc-paths-nan", "clt-index"])
+def test_integer_arguments_refuse_non_integers(name, call):
+    # a seed, size, band count, node count, evaluation cap, path count or
+    # sequence index that is not an integer is a typed refusal naming the
+    # argument, not a raw TypeError or ValueError and not a truncation
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ts.DomainError, match="must be an integer"):
+        with pytest.raises(ts.DomainError, match=f"^{name} must be an integer"):
             call()

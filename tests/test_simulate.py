@@ -692,10 +692,14 @@ class TestPVariation:
         assert r2 < 1.3
 
     def test_rejects_nonpositive_exponent(self):
-        path = ts.SamplePath(times=np.arange(3.0), values=np.zeros(3),
+        # and an infinite or NaN one: inf gave 0.0 on a path with jumps
+        path = ts.SamplePath(times=np.arange(3.0), values=np.array([0.0, 2.0, 1.0]),
                              jump_times=np.empty(0), jump_sizes=np.empty(0))
-        with pytest.raises(DomainError):
-            ts.empirical_p_variation(path, 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for bad in (0.0, -1.0, math.inf, math.nan):
+                with pytest.raises(DomainError, match="variation exponent"):
+                    ts.empirical_p_variation(path, bad)
 
 
 class TestBgIndex:
