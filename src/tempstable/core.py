@@ -21,6 +21,8 @@ from scipy.special import expm1, gamma as _gamma, log1p
 from .errors import DomainError
 from .params import CumulantVector, MomentStats, OneSidedParams, TemperedStableParams
 
+_LOG_MAX = math.log(np.finfo(float).max)
+
 
 def leg_exponent(alpha: float, beta: float, lam: float, z):
     """One leg's exponent alpha Gamma(-beta) ((lam - z)^beta - lam^beta), or
@@ -70,39 +72,57 @@ def _leg_on_real_axis(alpha: float, beta: float, lam: float, z: np.ndarray,
     (expm1(a)(1 - t^2) - 2t^2)/(1 + t^2); the imaginary part is
     e^a 2t/(1 + t^2).  ln|1 - iy| is log1p(y^2)/2.  Overflow guard: where
     max|y| > 1e150, so that y^2 could overflow, it is ln m + log1p(r^2)/2
-    with m = max(|y|, 1) and r = |y|/m^2 instead.  The ufuncs write in
+    with m = max(|y|, 1) and r = min(|y|, 1/|y|) instead, and ln m is
+    ln|z| - ln lam where y itself leaves the float range.  Where e^a may
+    overflow and the leg need not, lam^beta moves into the exponent:
+    lam^beta expm1(a) is e^(a + beta ln lam) for a > 700.  A leg whose
+    modulus may leave the float range is a DomainError.  The ufuncs write in
     place, into five real temporaries of z's size."""
-    y = np.divide(z, lam, dtype=float)  # in double precision whatever z's real dtype
+    with np.errstate(over="ignore"):  # y = +-inf where |z|/lam leaves the float range
+        y = np.divide(z, lam, dtype=float)  # in double precision whatever z's real dtype
     phase = np.arctan(y)
-    if max(y.max(initial=0.0), -y.min(initial=0.0)) > 1e150:
+    top = max(y.max(initial=0.0), -y.min(initial=0.0))
+    if top > 1e150:
         r = np.abs(y)
-        m = np.maximum(r, 1.0)
-        r /= m
-        r /= m
-        mod = np.add(np.log(m, out=m), 0.5 * np.log1p(np.square(r, out=r), out=r), out=y)
+        past = np.isinf(r)
+        m = np.log(np.maximum(r, 1.0))
+        m[past] = np.log(np.abs(z[past], dtype=float)) - math.log(lam)
+        np.reciprocal(r, out=r, where=r > 1.0)
+        mod = np.add(m, 0.5 * np.log1p(np.square(r, out=r), out=r), out=y)
+        top = mod.max()
     else:
         mod = np.log1p(np.square(y, out=y), out=y)
         mod *= 0.5
+        top = 0.5 * math.log1p(top * top)  # the largest ln|1 - iy|
     if beta == 0.0:
         mod *= -alpha
         out.real += mod
         phase *= -alpha if conjugate else alpha
         out.imag += phase
         return
+    c, lam_beta = alpha * (_gamma(1.0 - beta) / -beta), lam**beta
+    # |leg| <= 2 |c| lam^beta e^a: below a quarter of the float range, the two legs add
+    if math.log(-c) + beta * (math.log(lam) + top) > _LOG_MAX - 2.0:
+        raise DomainError("a leg of the characteristic exponent leaves the float range")
     mod *= beta
-    e = np.expm1(mod, out=mod)
+    if beta * top > 700.0:  # e^a may overflow: lam^beta moves from c into e, -2t^2 and e + 1
+        big = mod > 700.0
+        one, e = lam_beta, np.expm1(np.minimum(mod, 700.0)) * lam_beta
+        e[big] = np.exp(mod[big] + beta * math.log(lam))
+    else:
+        one, e, c = 1.0, np.expm1(mod, out=mod), c * lam_beta
     phase *= -0.5 * beta
     t = np.tan(phase, out=phase)
     q = np.square(t)
     d = np.add(q, 1.0)
-    np.divide(alpha * (_gamma(1.0 - beta) / -beta) * lam**beta, d, out=d)
+    np.divide(c, d, out=d)
     part = np.subtract(1.0, q)
     part *= e
-    q *= 2.0
+    q *= 2.0 * one
     part -= q
     part *= d
     out.real += part
-    e += 1.0
+    e += one
     t *= 2.0
     e *= t
     if conjugate:
@@ -157,32 +177,32 @@ def cf(p: TemperedStableParams, z):
     return np.exp(out, out=out)
 
 
-_LOG_MAX = math.log(np.finfo(float).max)
-
-
-def _leg_term(g, alpha: float, e: float, lam: float):
-    # g alpha / lam^e for g = Gamma(e), in logs where lam^e leaves the
-    # float range; 0 or inf past it, without a warning or OverflowError
-    try:
-        d = lam**e
-    except OverflowError:
-        d = math.inf
-    if 0.0 < d < math.inf:
-        return g * alpha / d
-    x = math.log(g) + math.log(alpha) - e * math.log(lam)
-    return math.exp(x) if x < _LOG_MAX else math.inf
-
-
-def leg_cumulant(alpha: float, beta: float, lam: float, n: int) -> np.float64:
-    """One leg's n-th cumulant Gamma(n - beta) alpha / lam^(n - beta) for
-    raw rates; the caller checks the domain.  Where lam^(n - beta) leaves
-    the float range it is exp(ln Gamma + ln alpha - (n - beta) ln lam)."""
-    e = n - beta
-    return np.float64(_leg_term(_gamma(e), alpha, e, lam))
+def _leg_kappas(alpha: float, beta: float, lam: float) -> tuple[list, tuple]:
+    """One leg's first six cumulants Gamma(n - beta) alpha / lam^(n - beta),
+    as Python floats, and the six orders n - beta, for raw rates; the caller
+    checks the domain.  This is the only place the formula is written.  One
+    scipy gamma call on the orders (it gives a scalar call's bits), then
+    Python's pow, which numpy's array pow rounds apart from on about one
+    input in 20.  Where lam^(n - beta) leaves the float range that cumulant
+    is exp(ln Gamma + ln alpha - (n - beta) ln lam), 0 or inf past the range,
+    without a warning or OverflowError."""
+    alpha, beta, lam = float(alpha), float(beta), float(lam)  # numpy scalars would warn, not raise
+    e = (1.0 - beta, 2.0 - beta, 3.0 - beta, 4.0 - beta, 5.0 - beta, 6.0 - beta)
+    kappas = []
+    for g, y in zip(_gamma(e).tolist(), e):
+        try:
+            kappas.append(g * alpha / lam**y)
+        except (OverflowError, ZeroDivisionError):  # lam^y past the float range
+            x = math.log(g) + math.log(alpha) - y * math.log(lam)
+            kappas.append(math.exp(x) if x < _LOG_MAX else math.inf)
+    return kappas, e
 
 
 def cumulant_one_sided(p: OneSidedParams, n: int) -> float:
-    return leg_cumulant(p.alpha, p.beta, p.lam, n)
+    """n-th cumulant of a one-sided law, n = 1..6 (see ``_leg_kappas``)."""
+    if n not in range(1, 7):  # refuses 2.5 and NaN, as range holds integers only
+        raise DomainError(f"cumulants are exposed for n = 1..6 only, got {n}")
+    return np.float64(_leg_kappas(p.alpha, p.beta, p.lam)[0][n - 1])
 
 
 def cumulant(p: TemperedStableParams, n: int) -> float:
@@ -190,11 +210,10 @@ def cumulant(p: TemperedStableParams, n: int) -> float:
 
     kappa_n = Gamma(n - b+) a+ / (l+)^(n-b+) + (-1)^n Gamma(n - b-) a- / (l-)^(n-b-)
 
-    A leg term past the float range is inf; where the two are inf - inf
-    (odd n) the cumulant has no value, and that is a DomainError.
+    A leg term past the float range is formed in logs, 0 or inf; where the
+    two are inf - inf (odd n) the cumulant has no value, and that is a
+    DomainError.
     """
-    if n not in range(1, 7):  # refuses 2.5 and NaN, as range holds integers only
-        raise DomainError(f"cumulants are exposed for n = 1..6 only, got {n}")
     plus, minus = cumulant_one_sided(p.plus, n), (-1) ** n * cumulant_one_sided(p.minus, n)
     if math.isinf(plus) and plus == -minus:
         raise DomainError(f"the cumulants of this law leave the float range: kappa_{n} is inf - inf")
@@ -205,31 +224,12 @@ _ORDERS = np.arange(1, 7)
 _SIGNS = (-1.0, 1.0, -1.0, 1.0, -1.0, 1.0)  # (-1)^n
 
 
-def _leg_kappas(theta) -> tuple:
-    """Both legs' first six cumulants, the minus leg's signed, as lists of
-    Python floats, and the twelve orders n - b+, n - b-, from a raw vector
-    (a+, b+, l+, a-, b-, l-) of Python floats; the caller checks the
-    domain.  One gamma call on the orders (scipy gives a scalar call's
-    bits), then ``leg_cumulant``'s formula with Python's pow, which numpy's
-    array pow rounds apart from on about one input in 20: the legs' sum is
-    ``cumulant(p, n)`` bit for bit."""
-    ap, bp, lp, am, bm, lm = theta
-    e = (1.0 - bp, 2.0 - bp, 3.0 - bp, 4.0 - bp, 5.0 - bp, 6.0 - bp,
-         1.0 - bm, 2.0 - bm, 3.0 - bm, 4.0 - bm, 5.0 - bm, 6.0 - bm)
-    g = _gamma(e).tolist()
-    try:
-        return ([x * ap / lp**y for x, y in zip(g[:6], e[:6])],
-                [s * x * am / lm**y for s, x, y in zip(_SIGNS, g[6:], e[6:])], e)
-    except (OverflowError, ZeroDivisionError):  # a power past the float range
-        return ([_leg_term(x, ap, y, lp) for x, y in zip(g[:6], e[:6])],
-                [s * _leg_term(x, am, y, lm) for s, x, y in zip(_SIGNS, g[6:], e[6:])], e)
-
-
 def _population_kappa(theta) -> np.ndarray:
     """First six cumulants of the law with parameter vector ``theta``, which
     the caller keeps inside the parameter domain; ``cumulant`` bit for bit."""
-    k_plus, k_minus, _ = _leg_kappas(list(map(float, theta)))
-    return np.array([p + m for p, m in zip(k_plus, k_minus)])
+    ap, bp, lp, am, bm, lm = theta
+    return np.array([p + s * m for p, m, s in
+                     zip(_leg_kappas(ap, bp, lp)[0], _leg_kappas(am, bm, lm)[0], _SIGNS)])
 
 
 def cumulant_vector(p: TemperedStableParams) -> CumulantVector:

@@ -5,10 +5,10 @@ cumulants.  The six-parameter law is recovered by solving the
 moment-matching system G(kappa, theta) = 0 with MINPACK's hybrid
 (Powell dogleg) method in log/logit coordinates, so every iterate
 automatically stays inside the open parameter domain.  The solver's
-system and Jacobian run on Python floats, with one gamma and one
-digamma call on the twelve orders n - beta, and its cumulants are
-``core.cumulant``'s bit for bit.  A separate estimator reads the
-intensity off the jump record of an observed path.
+system and Jacobian take their cumulants from ``core``'s per-leg kernel,
+``core.cumulant``'s bit for bit; the Jacobian runs on Python floats with
+one digamma call on the twelve orders n - beta.  A separate estimator
+reads the intensity off the jump record of an observed path.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ import numpy as np
 from scipy.optimize import root
 from scipy.special import digamma, gamma as _gamma, gammaln
 
-from .core import (_ORDERS, _integer_at_least, _leg_kappas, _population_kappa as population_kappa,
-                   _require_positive_betas)
+from .core import (_ORDERS, _SIGNS, _integer_at_least, _leg_kappas,
+                   _population_kappa as population_kappa, _require_positive_betas)
 from .errors import DomainError, InfeasibleCumulantsError
 from .limits import alpha_pair_for_moments
 from .params import CumulantVector, OneSidedParams, TemperedStableParams
@@ -138,15 +138,16 @@ def _mismatch_jacobian(kappa_hat: list, theta) -> np.ndarray:
     and d kappa/d lam = -(j-beta) kappa/lam.  Evaluated on Python floats
     (``kappa_hat`` a list, ``theta`` Python floats) with one digamma call
     on the twelve orders; each entry has the elementwise array form's bits."""
-    k_plus, k_minus, e = _leg_kappas(theta)
-    psi = digamma(e).tolist()
+    ap, bp, lp, am, bm, lm = theta
+    (k_plus, e_plus), (k_minus, e_minus) = _leg_kappas(ap, bp, lp), _leg_kappas(am, bm, lm)
+    k_minus = [s * m for s, m in zip(_SIGNS, k_minus)]
+    psi = digamma(e_plus + e_minus).tolist()
     resid = [p + m - h for p, m, h in zip(k_plus, k_minus, kappa_hat)]
-    ap, _, lp, am, _, lm = theta
     log_lp, log_lm = math.log(lp), math.log(lm)
     return np.array([(x / ap, log_lp * (x - r) - x * dp, ep * (r - x) / lp,
                       y / am, log_lm * (y - r) - y * dm, em * (r - y) / lm)
                      for x, y, r, dp, dm, ep, em in
-                     zip(k_plus, k_minus, resid, psi[:6], psi[6:], e[:6], e[6:])])
+                     zip(k_plus, k_minus, resid, psi[:6], psi[6:], e_plus, e_minus)])
 
 
 def two_sided_jacobian(kappa, theta) -> np.ndarray:
@@ -190,15 +191,13 @@ def _validate(k, tol: float, max_iter: int) -> np.ndarray:
 
 def _scaled_system(kappa, scale):
     """The solver's system (kappa(theta(u)) - kappa_hat)/scale in the
-    log/logit coordinates u, and its Jacobian (see ``jac``), on Python
-    floats: numpy calls on six-element arrays cost more than their arithmetic."""
-    kappa_hat, scale_list = kappa.tolist(), scale.tolist()
-    row_scale = scale[:, None]
+    log/logit coordinates u, and its Jacobian (see ``jac``), which runs on
+    Python floats: numpy calls on six-element arrays cost more than their
+    arithmetic."""
+    kappa_hat, row_scale = kappa.tolist(), scale[:, None]
 
     def fun(u):
-        k_plus, k_minus, _ = _leg_kappas(_from_unconstrained(u))
-        return np.array([(p + m - h) / s for p, m, h, s in
-                         zip(k_plus, k_minus, kappa_hat, scale_list)])
+        return (population_kappa(_from_unconstrained(u)) - kappa) / scale
 
     def jac(u):
         ap, bp, lp, am, bm, lm = theta = _from_unconstrained(u)
@@ -276,10 +275,10 @@ def multistart_fit_two_sided(k, tol: float = 1e-12, max_iter: int = 200) -> FitR
 def alpha_from_jump_counts(counts, horizon: float) -> float:
     """Intensity estimate: mean band count per unit time."""
     counts = np.asarray(counts, dtype=float)
-    if counts.size == 0:
-        raise DomainError("empty count sequence")
-    if not (horizon > 0.0):
-        raise DomainError("horizon must be positive")
+    if not (counts.size and ((counts >= 0.0) & (counts < math.inf)).all()):  # NaN fails both
+        raise DomainError("jump counts must be a non-empty sequence of non-negative finite numbers")
+    if not 0.0 < horizon < math.inf:
+        raise DomainError(f"horizon must be positive and finite, got {horizon}")
     return float(np.sum(counts) / (counts.size * horizon))
 
 

@@ -220,6 +220,29 @@ class TestRealAxis:
         assert ts.log_cf(skewed, 1.5) == pytest.approx(ts.log_cf(skewed, 1.5 + 0j), rel=1e-15)
         assert ts.log_cf(skewed, np.array([1.5, -2.0])).shape == (2,)
 
+    @pytest.mark.parametrize("beta", [0.0, 0.5, 0.9, 0.999])
+    @pytest.mark.parametrize("lam", [1e-160, 1e-300])
+    def test_tiny_rate_at_huge_frequency(self, lam, beta):
+        # z/lam leaves the float range: ln|z/lam| comes from ln|z| - ln lam,
+        # and e^a (a up to 1400 here) from e^(a + beta ln lam)
+        p = TemperedStableParams.create(1.0, beta, lam, 1.0, 0.5, 1.0)
+        z = np.array([1.0, 1.5e148, 1e151, -1e151, 1e183, 1e300])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = ts.log_cf(p, z)
+        for zi, g in zip(z, got):
+            plus, minus = _mp_leg(1.0, beta, lam, zi), _mp_leg(1.0, 0.5, 1.0, zi).conjugate()
+            a = max(b * max(math.log(abs(zi)) - math.log(l), 0.0) for b, l in ((beta, lam), (0.5, 1.0)))
+            assert abs(g - complex(plus + minus)) <= 2e-15 * (1.0 + a) * float(abs(plus) + abs(minus))
+
+    def test_leg_past_the_float_range_is_domain_error(self):
+        p = TemperedStableParams.create(1e300, 0.9, 1.0, 1.0, 0.5, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isfinite(ts.log_cf(p, np.array([1.0, 1e3]))).all()
+            with pytest.raises(DomainError, match="float range"):
+                ts.log_cf(p, np.array([1.0, 1e100]))
+
     @pytest.mark.parametrize("z", [np.inf, -np.inf, np.nan, complex(1.0, np.inf),
                                    complex(np.nan, 0.0)], ids=str)
     def test_non_finite_frequency_is_domain_error(self, skewed, z):
@@ -416,9 +439,54 @@ class TestRatePowerPastTheFloatRange:
     def test_log_form(self, alpha, lam, expect):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            value = core.leg_cumulant(alpha, 0.0, lam, 2)
+            value = core.cumulant_one_sided(OneSidedParams(alpha, 0.0, lam), 2)
         assert type(value) is np.float64
         assert value == pytest.approx(expect, rel=1e-12)
+
+    @staticmethod
+    def _reference(alpha, beta, lam, n):
+        # the scalar reference: scipy's scalar gamma, then g alpha / lam^e,
+        # in logs where lam^e leaves the float range
+        e = n - beta
+        g = G(e)
+        try:
+            d = lam**e
+        except OverflowError:
+            d = math.inf
+        if 0.0 < d < math.inf:
+            with np.errstate(over="ignore"):
+                return float(g * alpha / d)
+        x = math.log(g) + math.log(alpha) - e * math.log(lam)
+        return math.exp(x) if x < math.log(np.finfo(float).max) else math.inf
+
+    def test_kernel_is_the_scalar_formula_bit_for_bit(self):
+        rng = np.random.default_rng(34)
+        legs = [OneSidedParams(10 ** rng.uniform(-300, 300), b, 10 ** rng.uniform(-300, 300))
+                for b in (rng.choice([0.0, 0.5, 0.999], 300) * rng.uniform(0.0, 1.0, 300)).tolist()]
+        legs += [OneSidedParams(rng.uniform(0.05, 20.0), rng.uniform(0.0, 0.999), rng.uniform(0.05, 20.0))
+                 for _ in range(300)]
+        legs += [OneSidedParams(a, b, lam) for a in (1e-300, 1e-100, 1.0, 1e100, 1e300)
+                 for lam in (1e-300, 1e-200, 1e-60, 1.0, 1e60, 1e200, 1e300) for b in (0.0, 0.5, 0.999)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for i, leg in enumerate(legs):
+                minus = legs[(7 * i + 3) % len(legs)]
+                p = TemperedStableParams(leg, minus)
+                population = core._population_kappa(p.as_tuple())
+                for n in range(1, 7):
+                    k_plus = self._reference(leg.alpha, leg.beta, leg.lam, n)
+                    k_minus = (-1) ** n * self._reference(minus.alpha, minus.beta, minus.lam, n)
+                    value = core.cumulant_one_sided(leg, n)
+                    assert type(value) is np.float64 and value.hex() == k_plus.hex()
+                    # numpy scalar fields take the same path, without numpy's warnings
+                    as_numpy = OneSidedParams(*map(np.float64, (leg.alpha, leg.beta, leg.lam)))
+                    assert core.cumulant_one_sided(as_numpy, n).hex() == k_plus.hex()
+                    assert population[n - 1].hex() == (k_plus + k_minus).hex()
+                    if math.isinf(k_plus) and k_plus == -k_minus:
+                        with pytest.raises(DomainError, match="inf - inf"):
+                            ts.cumulant(p, n)
+                    else:
+                        assert ts.cumulant(p, n).hex() == (k_plus + k_minus).hex()
 
     def test_callers_are_finite_or_typed(self):
         readme_minus = OneSidedParams(2.0, 0.6, 4.0)

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -20,6 +21,12 @@ from conftest import moments_from_cumulants
 
 def one_sided_kappa(p: OneSidedParams, n: int) -> float:
     return G(n - p.beta) * p.alpha / p.lam ** (n - p.beta)
+
+
+def _leg_cumulants(theta) -> tuple:
+    # both legs' first six cumulants from core's per-leg kernel, the minus leg's signed
+    k_minus, _ = core._leg_kappas(*theta[3:])
+    return core._leg_kappas(*theta[:3])[0], [s * k for s, k in zip(core._SIGNS, k_minus)]
 
 
 def _array_mismatch_jacobian(kappa_hat, theta, k_plus, k_minus) -> np.ndarray:
@@ -220,8 +227,7 @@ class TestTwoSidedSystem:
             theta = (rng.uniform(0.05, 20.0), rng.uniform(0.001, 0.999), rng.uniform(0.05, 20.0),
                      rng.uniform(0.05, 20.0), rng.uniform(0.001, 0.999), rng.uniform(0.05, 20.0))
             kappa_hat = population_kappa(theta) * rng.uniform(0.7, 1.3, 6)
-            k_plus, k_minus, _ = core._leg_kappas(theta)
-            expect = _array_mismatch_jacobian(kappa_hat, theta, k_plus, k_minus)
+            expect = _array_mismatch_jacobian(kappa_hat, theta, *_leg_cumulants(theta))
             assert np.array_equal(estimate._mismatch_jacobian(kappa_hat.tolist(), theta), expect)
             assert np.array_equal(ts.two_sided_jacobian(kappa_hat, np.array(theta)),
                                   estimate._row_weights(theta)[:, None] * expect)
@@ -229,9 +235,8 @@ class TestTwoSidedSystem:
             _, jac = estimate._scaled_system(kappa_hat, scale)
             u = estimate._to_unconstrained(theta)
             t = estimate._from_unconstrained(u)
-            k_plus, k_minus, _ = core._leg_kappas(t)
             d_theta = np.array([t[0], t[1] * (1.0 - t[1]), t[2], t[3], t[4] * (1.0 - t[4]), t[5]])
-            assert np.array_equal(jac(u), _array_mismatch_jacobian(kappa_hat, t, k_plus, k_minus)
+            assert np.array_equal(jac(u), _array_mismatch_jacobian(kappa_hat, t, *_leg_cumulants(t))
                                   / scale[:, None] * d_theta)
 
     def test_solver_jacobian_at_root_against_finite_differences(self, rng):
@@ -404,6 +409,17 @@ class TestPathEstimators:
     def test_empty_rejected(self):
         with pytest.raises(DomainError):
             ts.alpha_from_jump_counts([], 1.0)
+
+    @pytest.mark.parametrize("counts, horizon", [
+        ([3, 1], math.inf), ([3, 1], math.nan), ([3, 1], 0.0),
+        ([-3, 1], 1.0), ([math.nan, 1], 1.0), ([math.inf, 1], 1.0),
+    ], ids=["inf-horizon", "nan-horizon", "zero-horizon", "negative-count", "nan-count",
+            "inf-count"])
+    def test_out_of_domain_rejected(self, counts, horizon):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError):
+                ts.alpha_from_jump_counts(counts, horizon)
 
     def test_lambda_from_mean_gamma(self):
         assert ts.lambda_given_alpha_beta(1.0, 0.0, 1.0) == pytest.approx(1.0, rel=1e-15)
