@@ -6,7 +6,7 @@ Errors print one machine-parsable line ``error CODE: message`` to stderr.
 Structured results go to stdout as JSON, with floats in Python's shortest
 round-trip form (each parses back to the identical double) and non-finite
 values as null.  Series go to CSV, each value byte for byte as Python's
-``"%.17g" % value`` prints it, from a vectorised numpy writer.
+``"%.17g" % value`` prints it, in the bytes a vectorised numpy writer builds.
 """
 
 from __future__ import annotations
@@ -208,17 +208,17 @@ def _g17(v, separators) -> bytes:
     return text
 
 
-def _csv(header: str, *columns) -> str:
-    """CSV text of a header line and equal-length float columns; each value
+def _csv(header: str, *columns) -> bytes:
+    """CSV bytes of a header line and equal-length float columns; each value
     is exactly ``"%.17g" % value``, written in blocks by the kernel above."""
     if not columns:
-        return f"{header}\n"
+        return f"{header}\n".encode()
     values = np.column_stack(columns).ravel()
     width = len(columns)
     step = _BLOCK - _BLOCK % width
     separators = np.tile(_tables().separators[[0] * (width - 1) + [1]], step // width)
     blocks = (_g17(values[i:i + step], separators) for i in range(0, values.size, step))
-    return b"".join([f"{header}\n".encode(), *blocks]).decode("ascii")
+    return b"".join([f"{header}\n".encode(), *blocks])
 
 
 def _progress(ctx, message: str) -> None:
@@ -266,13 +266,12 @@ def density(ctx, params_path, nodes, extent_sd, out_path):
     """Emit x,pdf,cdf on the inversion grid as CSV."""
     p = _load_two_sided(params_path)
     ev = _density.DensityEvaluator(p, _density.InversionSettings(nodes=nodes, extent_sd=extent_sd))
-    grid = ev.grid()
     x, cdf_vals = ev.cdf_grid()
-    text = _csv("x,pdf,cdf", x, grid.pdf, cdf_vals)
+    data = _csv("x,pdf,cdf", x, ev.grid().pdf, cdf_vals)
     if out_path is None:
-        click.echo(text, nl=False)
+        click.echo(data, nl=False)  # bytes go to the binary stream as they are
     else:
-        Path(out_path).write_text(text)
+        Path(out_path).write_bytes(data)
         _progress(ctx, f"wrote {len(x)} rows to {out_path}")
 
 
@@ -296,9 +295,9 @@ def simulate(ctx, params_path, horizon, step, seed, paths, jump_floor, out_dir):
         cfg = _simulate.PathConfig(horizon=horizon, step=step,
                                    seed=path_seed, jump_floor=jump_floor)
         path = _simulate.simulate_path(p, cfg)
-        (out / f"path_{i:04d}.csv").write_text(_csv("t,x", path.times, path.values))
+        (out / f"path_{i:04d}.csv").write_bytes(_csv("t,x", path.times, path.values))
         if jump_floor > 0.0:
-            (out / f"jumps_{i:04d}.csv").write_text(
+            (out / f"jumps_{i:04d}.csv").write_bytes(
                 _csv("t,size", path.jump_times, path.jump_sizes))
         _progress(ctx, f"path {i}: {len(path.times)} points, "
                        f"{len(path.jump_times)} recorded jumps")

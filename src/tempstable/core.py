@@ -33,6 +33,12 @@ def leg_exponent(alpha: float, beta: float, lam: float, z):
     keeps the real part for small complex arguments, or ln((lam - z)/lam)
     where Re(-z/lam) < -1/2, keeping the digits of lam - z near z = lam.
 
+    The float-range rule is the real-axis kernel's (``_leg_on_real_axis``):
+    where z/lam leaves the float range u is ln(-z) - ln lam; where
+    beta Re u > 700, so that e^(beta u) may overflow, lam^beta moves into
+    the exponent, e^(beta u + beta ln lam); and a leg whose modulus may
+    leave the float range is a DomainError (``_leg_coefficient``).
+
     A real float z (np.float64 included), as in the martingale solves,
     takes a scalar path without numpy's array machinery (about 0.7 us
     against 10 us), bit-identical to the array path and like it returning
@@ -48,17 +54,53 @@ def leg_exponent(alpha: float, beta: float, lam: float, z):
             u = np.log(x) if x != 0.0 else np.float64(-math.inf)
         else:
             u = log1p(w)
+        # where the float-range rule may fire, the array path takes z: |u| < 1500 for finite w
         if beta == 0.0:
-            return -alpha * u
-        return alpha * (_gamma(1.0 - beta) / -beta) * lam**beta * expm1(u * beta)
-    w = np.asarray(z) * (-1.0 / lam)
-    u = log1p(w, out=np.empty_like(w))  # an array even for scalar z, for np.log to fill
-    with np.errstate(divide="ignore"):  # u = -inf at the closed end z = lam
-        np.log((lam - z) * (1.0 / lam), out=u, where=w.real < -0.5)
+            if alpha <= 1e300 and w < math.inf:
+                return -alpha * u
+        else:
+            scale = alpha * (float(_gamma(1.0 - beta)) / -beta) * lam**beta  # inf, not a warning
+            v = u * beta
+            if -scale < 1e300 and v < 16.0:  # |leg| < 1e300 e^16, in a quarter of the range
+                return scale * expm1(v)
+    z = np.asarray(z)
+    with np.errstate(over="ignore", divide="ignore"):  # w = inf where z/lam leaves the float range
+        w = z * (-1.0 / lam)
+        u = log1p(w, out=np.empty_like(w))  # an array even for scalar z, for np.log to fill
+        np.log((lam - z) * (1.0 / lam), out=u, where=w.real < -0.5)  # u = -inf at z = lam
+    past = np.isinf(w)
+    if past.any():
+        u[past] = np.log(-z[past]) - math.log(lam)
+    c = _leg_coefficient(alpha, beta, lam, u.real.max(initial=0.0), u.real.min(initial=0.0))
     if beta == 0.0:
-        return -alpha * u
+        return c * u
     u *= beta  # in place: on a transform grid each temporary is a full array
-    return alpha * (_gamma(1.0 - beta) / -beta) * lam**beta * expm1(u, out=u)
+    if u.real.max(initial=0.0) > 700.0:  # e^(beta u) may overflow: lam^beta moves into it
+        big = u.real > 700.0
+        return np.where(big, c * np.exp(np.where(big, u + beta * math.log(lam), 0.0)),
+                        c * lam**beta * expm1(np.where(big, 0.0, u)))[()]
+    return c * lam**beta * expm1(u, out=u)
+
+
+def _leg_coefficient(alpha: float, beta: float, lam: float, top, bottom) -> float:
+    """A leg's coefficient, -alpha at beta = 0 and alpha Gamma(-beta) above,
+    for points whose u = ln(1 - z/lam) has real parts in [bottom, top]; the
+    float-range check of the three evaluations of a leg.  Inside the strip
+    |Im u| < pi/2, so the Gamma leg -alpha u has a modulus of at most
+    alpha (max(top, -bottom) + pi/2), and is a DomainError where that passes
+    a quarter of the float range.  For beta > 0 the leg's modulus is at most
+    2|c| lam^beta e^(beta max(top, 0)), as |expm1(w)| <= 1 + e^(Re w); it is
+    a DomainError where that may pass a quarter of the float range, or where
+    c itself does (formed in Python floats, it is inf there, not a warning)."""
+    if beta == 0.0:
+        if math.log(alpha) + math.log(max(top, -bottom) + 0.5 * math.pi) > _LOG_MAX - math.log(4):
+            raise DomainError("a Gamma leg of the characteristic exponent leaves the float range")
+        return -alpha
+    c = float(alpha) * (float(_gamma(1.0 - beta)) / -beta)
+    # |leg| <= 2 |c| lam^beta e^a: below a quarter of the float range, the two legs add
+    if math.log(-c) + beta * (math.log(lam) + max(top, 0.0)) > _LOG_MAX - 2.0:
+        raise DomainError("a leg of the characteristic exponent leaves the float range")
+    return c
 
 
 def _leg_on_real_axis(alpha: float, beta: float, lam: float, z: np.ndarray,
@@ -76,7 +118,8 @@ def _leg_on_real_axis(alpha: float, beta: float, lam: float, z: np.ndarray,
     ln|z| - ln lam where y itself leaves the float range.  Where e^a may
     overflow and the leg need not, lam^beta moves into the exponent:
     lam^beta expm1(a) is e^(a + beta ln lam) for a > 700.  A leg whose
-    modulus may leave the float range is a DomainError.  The ufuncs write in
+    modulus may leave the float range is a DomainError
+    (``_leg_coefficient``), the Gamma leg's too.  The ufuncs write in
     place, into five real temporaries of z's size."""
     with np.errstate(over="ignore"):  # y = +-inf where |z|/lam leaves the float range
         y = np.divide(z, lam, dtype=float)  # in double precision whatever z's real dtype
@@ -94,16 +137,13 @@ def _leg_on_real_axis(alpha: float, beta: float, lam: float, z: np.ndarray,
         mod = np.log1p(np.square(y, out=y), out=y)
         mod *= 0.5
         top = 0.5 * math.log1p(top * top)  # the largest ln|1 - iy|
+    c, lam_beta = _leg_coefficient(alpha, beta, lam, top, 0.0), lam**beta
     if beta == 0.0:
-        mod *= -alpha
+        mod *= c
         out.real += mod
-        phase *= -alpha if conjugate else alpha
+        phase *= c if conjugate else -c
         out.imag += phase
         return
-    c, lam_beta = alpha * (_gamma(1.0 - beta) / -beta), lam**beta
-    # |leg| <= 2 |c| lam^beta e^a: below a quarter of the float range, the two legs add
-    if math.log(-c) + beta * (math.log(lam) + top) > _LOG_MAX - 2.0:
-        raise DomainError("a leg of the characteristic exponent leaves the float range")
     mod *= beta
     if beta * top > 700.0:  # e^a may overflow: lam^beta moves from c into e, -2t^2 and e + 1
         big = mod > 700.0
@@ -301,10 +341,10 @@ def marginal(p: TemperedStableParams, t: float) -> TemperedStableParams:
 
 
 def third_moment_one_sided(p: OneSidedParams) -> float:
-    """Third raw moment of a one-sided law, k1^3 + 3 k1 k2 + k3; a
-    DomainError where it leaves the float range."""
+    """Third raw moment of a one-sided law, k1^3 + 3 k1 k2 + k3, from one
+    ``_leg_kappas`` pass; a DomainError where it leaves the float range."""
     with np.errstate(all="ignore"):
-        k1, k2, k3 = (cumulant_one_sided(p, n) for n in (1, 2, 3))
+        k1, k2, k3 = map(np.float64, _leg_kappas(p.alpha, p.beta, p.lam)[0][:3])
         m3 = k1**3 + 3.0 * k1 * k2 + k3
     if not math.isfinite(m3):
         raise DomainError(f"the third moment overflows for this law: {m3}")

@@ -33,12 +33,12 @@ from .core import (
     _fourier_sum,
     _increasing_root,
     _integer_at_least,
+    _leg_kappas,
     _require_positive_betas,
     _scaled_exp,
     cf,
     cgf_one_sided,
     cumulant,
-    cumulant_one_sided,
     leg_exponent,
     log_cf,
 )
@@ -93,15 +93,15 @@ class DensityEvaluator:
     The plan evaluates and keeps the characteristic function only on its
     numerical support, the first ``K`` nodes of the grid, so the cost of
     planning and of pointwise ``pdf`` follows how fast the transform
-    decays rather than the grid size.  Scalar ``cdf`` interpolates a cdf
-    grid built on first use and kept.
+    decays rather than the grid size.  ``cdf_grid`` is built on first use
+    and kept, and ``cdf`` interpolates it.
     """
 
     def __init__(self, p: TemperedStableParams, settings: InversionSettings | None = None):
         self.params = p
         self.settings = settings or InversionSettings()
         self._grid = None
-        self._cdf_table = None
+        self._cdf = None
         self._plan()
 
     # -- planning ---------------------------------------------------------
@@ -203,20 +203,21 @@ class DensityEvaluator:
         return float(out) if not shape else out
 
     def cdf_grid(self) -> tuple[np.ndarray, np.ndarray]:
-        """Cumulative trapezoid of ``grid()``'s density, clipped to [0, 1]."""
-        g = self.grid()
-        inc = 0.5 * (g.pdf[1:] + g.pdf[:-1]) * self._dx
-        c = np.concatenate(([0.0], np.cumsum(inc)))
-        return g.x, np.clip(c, 0.0, 1.0)
+        """Cumulative trapezoid of ``grid()``'s density, clipped to [0, 1]; built
+        once, and read-only like ``grid()``'s arrays."""
+        if self._cdf is None:
+            g = self.grid()
+            inc = 0.5 * (g.pdf[1:] + g.pdf[:-1]) * self._dx
+            c = np.clip(np.concatenate(([0.0], np.cumsum(inc))), 0.0, 1.0)
+            c.flags.writeable = False
+            self._cdf = g.x, c
+        return self._cdf
 
     def cdf(self, x):
         xs = np.asarray(x, dtype=float)
         if np.isnan(xs).any():
             raise DomainError("distribution function evaluated at a NaN point")
-        if self._cdf_table is None:
-            self._cdf_table = self.cdf_grid()
-        xg, cg = self._cdf_table
-        out = np.interp(xs, xg, cg, left=0.0, right=1.0)
+        out = np.interp(xs, *self.cdf_grid(), left=0.0, right=1.0)
         return float(out) if np.ndim(x) == 0 else out
 
     def mode(self) -> float:
@@ -265,12 +266,10 @@ def mode_fixed_point(p: OneSidedParams) -> float:
 
 def _one_sided_bracket(p: OneSidedParams) -> ModeBracket:
     xi0 = mode_fixed_point(p)  # refuses beta outside (0, 1)
-    with np.errstate(over="ignore", divide="ignore"):  # an infinite v only drops its bound
-        m1 = cumulant_one_sided(p, 1)
-        v = cumulant_one_sided(p, 2)
+    m1, v = map(np.float64, _leg_kappas(p.alpha, p.beta, p.lam)[0][:2])
     if m1 == math.inf:
         raise DomainError("the mode bracket overflows for this law: its mean is not finite")
-    lower = max(m1 - math.sqrt(3.0 * v), xi0)
+    lower = max(m1 - math.sqrt(3.0 * v), xi0)  # an infinite v only drops this bound
     # (alpha / (1 - beta))^(1/beta) overflows for small beta; compare logs
     log_cap = (math.log(p.alpha) - math.log1p(-p.beta)) / p.beta
     upper = m1 if math.log(m1) <= log_cap else math.exp(log_cap)

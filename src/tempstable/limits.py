@@ -11,7 +11,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import _integer_at_least, cumulant_one_sided, moment_stats
+import numpy as np
+
+from .core import _integer_at_least, _leg_kappas, cumulant_one_sided, moment_stats
 from .errors import DomainError
 from .params import OneSidedParams, TemperedStableParams
 
@@ -43,14 +45,14 @@ def alpha_pair_for_moments(beta_plus: float, lambda_plus: float,
 
     The first two cumulants are linear in (alpha+, alpha-) for fixed
     stability/tempering parameters, so this is a two-by-two Cramer solve on
-    the unit-intensity cumulants.  Fails when either intensity comes out
-    nonpositive (no valid law); for mu = 0 both are automatically positive.
+    each leg's unit-intensity cumulants from one ``_leg_kappas`` pass.  Fails
+    when either intensity is nonpositive (no valid law); never for mu = 0.
     """
     if not (sigma2 > 0.0):
         raise DomainError("target variance must be positive")
-    (c1p, c2p), (c1m, c2m) = (
-        [cumulant_one_sided(OneSidedParams(1.0, b, lam), n) for n in (1, 2)]
-        for b, lam in ((beta_plus, lambda_plus), (beta_minus, lambda_minus)))
+    (c1p, c2p), (c1m, c2m) = (map(np.float64, _leg_kappas(1.0, leg.beta, leg.lam)[0][:2])
+                              for leg in (OneSidedParams(1.0, beta_plus, lambda_plus),
+                                          OneSidedParams(1.0, beta_minus, lambda_minus)))
     det = c1p * c2m + c1m * c2p
     a_plus = (mu * c2m + sigma2 * c1m) / det
     a_minus = (sigma2 * c1p - mu * c2p) / det

@@ -89,13 +89,13 @@ def call_price_fourier(p_q: TemperedStableParams, market: MarketConfig,
     independent of ``nu`` within (1, lambda+) to well below 1e-8 of spot.
 
     Only ``P`` depends on the strike.  The rest is kept in two LRU caches:
-    the plan of ``(p_q, T, nu)`` (16 entries of about 2 KiB), and the
-    read-only trapezoid-weighted transform on ``n + 1`` nodes over ``[0,
-    U]``, ``n`` the least power of two at or above the node count, so
-    that nearby strikes share a grid (4 entries of about ``16 n`` bytes:
-    16 MiB each at the ``2^20`` cap, 64 MiB at most).  Each strike's sum
-    ``Re sum c_j e^{i k u_j}`` is then one ``core._fourier_sum``; a
-    price does not depend on what the caches hold.
+    the plan of ``(p_q, T, nu)``, ``Psi(1)`` and ``T Psi(nu)`` included (16
+    entries of about 2 KiB), and the read-only trapezoid-weighted transform
+    on ``n + 1`` nodes over ``[0, U]``, ``n`` the least power of two at or
+    above the node count, so that nearby strikes share a grid (4 entries of
+    about ``16 n`` bytes: 16 MiB each at the ``2^20`` cap, 64 MiB at most).
+    Each strike's sum ``Re sum c_j e^{i k u_j}`` is then one ``core._fourier_sum``;
+    a price does not depend on what the caches hold.
     """
     if nu is None:
         nu = default_contour(p_q)
@@ -103,7 +103,8 @@ def call_price_fourier(p_q: TemperedStableParams, market: MarketConfig,
     if not (1.0 < nu < lam_plus):
         raise DomainError(f"contour height must lie in (1, {lam_plus}), got {nu}")
 
-    psi1 = cgf(p_q, 1.0)
+    mat = option.maturity
+    psi1, psi_nu, _, upper, lam, tail = _contour_plan(p_q, mat, nu)
     drift_gap = abs(psi1 - (market.r - market.q_div))
     if drift_gap > 1e-8:
         warnings.warn(
@@ -112,16 +113,14 @@ def call_price_fourier(p_q: TemperedStableParams, market: MarketConfig,
             stacklevel=2,
         )
 
-    mat = option.maturity
     k = math.log(option.strike) - math.log(market.s0)
     # ln of the sum's largest term, the one at u = 0, over spot
-    log_term = (cgf(marginal(p_q, mat), nu) - (nu - 1.0) * k
+    log_term = (psi_nu - (nu - 1.0) * k
                 - market.r * mat - math.log(2.0 * math.pi * nu * (nu - 1.0)))
     if not log_term <= _LOG_CONDITION:
         raise ConvergenceError(f"pricing integrand terms reach 10^{log_term / math.log(10.0):.1f}"
                                f" of spot (cap 10^6) at contour height {nu} in (1, {lam_plus})")
 
-    upper, lam, tail = _contour_plan(p_q, mat, nu)[2:]
     growth = tail - (lam - 1.0) * k
     period = max((_LOG_ALIAS + max(mat * psi1, 0.0)) / (nu - 1.0),
                  float(np.min((_LOG_ALIAS + np.maximum(growth, 0.0)) / (lam - nu))))
@@ -145,19 +144,19 @@ def _transform(p_nu: TemperedStableParams, psi_nu: float, nu: float, u: np.ndarr
 
 @functools.lru_cache(maxsize=16)
 def _contour_plan(p_q: TemperedStableParams, maturity: float, nu: float) -> tuple:
-    """``(psi_nu, p_nu, U, lam, Re log_cf(p_t, -i lam))`` of one law, maturity
-    and height: everything of a price's plan but the strike's period."""
-    p_t = marginal(p_q, maturity)
+    """``(Psi(1), T Psi(nu), p_nu, U, lam, Re log_cf(p_t, -i lam))``: the plan but the
+    strike's period.  Its decay test caps e^{T Psi(nu)}, a factor of every node."""
+    psi1, p_t = cgf(p_q, 1.0), marginal(p_q, maturity)
     psi_nu = cgf(p_t, nu)
     p_nu = bilateral_esscher(p_t, EsscherPair(nu, -nu))
-    h = np.abs(_transform(p_nu, psi_nu, nu, np.append(0.0, _EXTENTS)))
+    h = np.abs(_transform(p_nu, min(psi_nu, 700.0), nu, np.append(0.0, _EXTENTS)))
     decayed = np.flatnonzero(h[1:] < 1e-14 * h[0])
     if decayed.size == 0:
         raise ConvergenceError("pricing integrand does not decay; check parameters")
     lam = nu + (p_q.plus.lam - nu) * _BOUND_HEIGHTS
     tail = np.real(log_cf(p_t, -1j * lam))
     lam.flags.writeable = tail.flags.writeable = False
-    return psi_nu, p_nu, float(_EXTENTS[decayed[0]]), lam, tail
+    return psi1, psi_nu, p_nu, float(_EXTENTS[decayed[0]]), lam, tail
 
 
 @functools.lru_cache(maxsize=4)
@@ -166,7 +165,7 @@ def _weighted_transform(p_q: TemperedStableParams, maturity: float, nu: float,
     """The trapezoid weights times ``_transform`` on ``n + 1`` nodes over
     ``[0, U]``, read-only, in ``core._factored_blocks``'s layout; and
     the step."""
-    psi_nu, p_nu, upper = _contour_plan(p_q, maturity, nu)[:3]
+    psi_nu, p_nu, upper = _contour_plan(p_q, maturity, nu)[1:4]
     du = upper / n
     c = _transform(p_nu, psi_nu, nu, du * np.arange(n + 1)) * du
     c[[0, -1]] *= 0.5

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import exp1, gamma as _gamma, gammainc, gammaincc, zeta
 
-from .core import _integer_at_least, cumulant_one_sided
+from .core import _integer_at_least, _leg_kappas
 from .errors import ConvergenceError, DomainError
 from .params import OneSidedParams, TemperedStableParams
 
@@ -101,17 +101,16 @@ class SamplePath:
     jump_floor: float = 0.0
 
 
-def _kanter_stable(c: float, beta: float, n: int, rng, ws: _Work | None = None) -> np.ndarray:
+def _kanter_stable(c: float, beta: float, n: int, rng, ws: _Work) -> np.ndarray:
     """Positive stable draws with Laplace transform exp(-c s^beta).
 
     Kanter's ``c^(1/beta) (A(u)/w)^((1-beta)/beta)`` is evaluated in logs,
     so that no power of it overflows as beta -> 0 or beta -> 1; a draw
     beyond the float range comes out as inf.  (1-beta) ln A(u) is
     beta ln beta + (1-beta) ln(1-beta) - ln zeta^2(pi u), from
-    ``_log_zeta2``.  Writes u in row 0 of ``ws`` (a fresh one by default)
-    and the draws in row 1, with rows 4-7 as ``_log_zeta2``'s.
+    ``_log_zeta2``.  Writes u in row 0 of ``ws`` and the draws in row 1,
+    with rows 4-7 as ``_log_zeta2``'s.
     """
-    ws = _Work(n) if ws is None else ws
     u = rng.random(out=ws.rows[0, :n])
     np.clip(u, 1e-16, 1.0 - 1e-16, out=u)
     u *= math.pi
@@ -253,14 +252,12 @@ def _log_zeta2(u: np.ndarray, beta: float, ws: _Work) -> np.ndarray:
     return out
 
 
-def _u_marginal(u: np.ndarray, tau: float, beta: float, sg: float, ws: _Work | None = None):
+def _u_marginal(u: np.ndarray, tau: float, beta: float, sg: float, ws: _Work):
     """ln zeta^2, zeta, z and ln g at u, for U's tilted marginal g = A B:
     A = (1 + sqrt(pi/2)) sg/zeta + z, z = 1/(1 - (1 + beta zeta/sg)^(-1/beta)),
     B = exp(-tau (zeta^-2 - 1)), sg = sqrt(tau beta (1-beta)).  Writes
-    rows 4-7 of ``ws`` (a fresh one by default) with row 1 as scratch;
-    u must lie in none of them."""
+    rows 4-7 of ``ws`` with row 1 as scratch; u must lie in none of them."""
     k = u.size
-    ws = _Work(k) if ws is None else ws
     lz = _log_zeta2(u, beta, ws)
     _, zeta_u, z, log_g = ws.rows[4:8, :k]
     np.exp(np.multiply(lz, 0.5, out=zeta_u), out=zeta_u)
@@ -281,10 +278,10 @@ def _u_marginal(u: np.ndarray, tau: float, beta: float, sg: float, ws: _Work | N
 @functools.lru_cache(maxsize=64)
 def _u_envelope(tau: float, beta: float):
     """Piecewise-constant bound on U's tilted marginal g on (0, pi) for
-    ``_double_rejection_round``: the pieces' cumulative masses (ending at
-    1) and lower masses, left ends, widths, width/mass (0 for a piece
-    whose mass rounds to 0, which is never picked) and ln heights, and the
-    guide table of the masses (``_guided_piece``).
+    ``_accepted_u``: the pieces' cumulative masses (ending at 1) and lower
+    masses, left ends, width/mass (0 for a piece whose mass rounds to 0,
+    which is never picked) and ln heights, and the guide table of the
+    masses (``_guided_piece``).
 
     g decreases in u for tau > 1/2, so its value at a piece's left end
     bounds it on the piece.  zeta decreases in u (``_log_zeta2``); B has
@@ -301,7 +298,7 @@ def _u_envelope(tau: float, beta: float):
     nodes = top * _U_GRID
     if top == math.pi:
         nodes = nodes[:-1]
-    log_h = _u_marginal(nodes, tau, beta, sg)[3]
+    log_h = _u_marginal(nodes, tau, beta, sg, _Work(nodes.size))[3]
     width = np.append(nodes[1:], math.pi) - nodes
     cum = np.cumsum(width * np.exp(log_h - log_h[0]))
     cum /= cum[-1]
@@ -309,19 +306,17 @@ def _u_envelope(tau: float, beta: float):
     mass = cum - below
     scale = np.divide(width, mass, out=np.zeros_like(width), where=mass > 0.0)
     guide = np.searchsorted(cum, np.arange(_GUIDE) / _GUIDE, side="right").astype(np.int16)
-    return cum, below, nodes, width, scale, log_h, guide
+    return cum, below, nodes, scale, log_h, guide
 
 
-def _guided_piece(r: np.ndarray, cum: np.ndarray, guide: np.ndarray,
-                  ws: _Work | None = None) -> np.ndarray:
+def _guided_piece(r: np.ndarray, cum: np.ndarray, guide: np.ndarray, ws: _Work) -> np.ndarray:
     """``searchsorted(cum, r, side="right")`` for r in [0, 1), through the
     guide table of Chen and Asau (1974): guide[j] is that piece at r = j/G,
     G = ``_GUIDE``, a power of two, so floor(r G) = j is exact and guide[j]
     is never past r's piece.  Only an r at or beyond its guess's upper
     mass, at most len(cum)/G of them, is searched.  Writes row 1 of ``ws``
-    (a fresh one by default) with row 2 as scratch."""
+    with row 2 as scratch."""
     k = r.size
-    ws = _Work(k) if ws is None else ws
     piece = ws.rows[1, :k].view(np.intp)
     tmp = ws.rows[2, :k]
     np.multiply(r, _GUIDE, out=piece, casting="unsafe")  # floor, as r >= 0
@@ -343,7 +338,7 @@ def _accepted_u(tau: float, beta: float, k: int, rng):
     ln h in row 2 and e in row 3, and returns ln zeta^2, zeta, z and e at
     the kept ones in rows 0, 1, 2 and 7; given a kept U, e is again
     standard exponential, and the outer test reuses it."""
-    cum, below, lo, _, scale, log_h, guide = _u_envelope(tau, beta)
+    cum, below, lo, scale, log_h, guide = _u_envelope(tau, beta)
     ws = _work(k)
     rows = ws.rows[:, :k]
     r = rng.random(out=rows[0])
@@ -573,8 +568,8 @@ def _subfloor_steps(p: OneSidedParams, cfg: PathConfig, rng) -> np.ndarray:
     # one Gamma increment per step with the mean and variance of the jumps
     # below the floor h: kappa_n times the regularized lower incomplete
     # Gamma P(n - beta, lam h); higher moments of the remainder are approximated
-    m1, m2 = (cumulant_one_sided(p, n) * gammainc(n - p.beta, p.lam * cfg.jump_floor)
-              for n in (1, 2))
+    kappas, orders = _leg_kappas(p.alpha, p.beta, p.lam)  # one pass for both cumulants
+    m1, m2 = (np.float64(kappas[i]) * gammainc(orders[i], p.lam * cfg.jump_floor) for i in (0, 1))
     return rng.gamma(m1**2 * cfg.step / m2, m2 / m1, cfg.n_steps)
 
 

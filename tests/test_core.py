@@ -243,6 +243,34 @@ class TestRealAxis:
             with pytest.raises(DomainError, match="float range"):
                 ts.log_cf(p, np.array([1.0, 1e100]))
 
+    def test_scalar_and_complex_paths_past_the_float_range_match_mpmath(self):
+        # z/lam = -1e311: the scalar cgf gave -inf, the complex log_cf nan + nan j
+        import mpmath
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = ts.cgf_one_sided(OneSidedParams(1.0, 0.5, 1e-160), -1e151)
+            pair = ts.log_cf(TemperedStableParams.create(1.0, 0.5, 1e-160, 1.0, 0.5, 1.0),
+                             np.array([1.0 + 0j, 1e151 + 0j]))
+        with mpmath.workdps(40):
+            lam = mpmath.mpf(1e-160)
+            want = mpmath.gamma(-0.5) * (mpmath.sqrt(lam + mpmath.mpf(1e151)) - mpmath.sqrt(lam))
+        assert abs(got - float(want)) <= 1e-13 * abs(float(want))  # -1.12099824328e76
+        for z, g in zip((1.0, 1e151), pair):
+            want = complex(_mp_leg(1.0, 0.5, 1e-160, z) + _mp_leg(1.0, 0.5, 1.0, z).conjugate())
+            assert abs(g - want) <= 1e-13 * abs(want)  # -1.58533092e76 at 1e151
+
+    def test_gamma_leg_past_the_float_range_is_domain_error(self):
+        # -alpha ln|1 - iy| passed the float range: -inf + 1.57e306 j with a warning
+        p = TemperedStableParams.create(1e306, 0.0, 1.0, 1.0, 0.5, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = ts.log_cf(p, np.array([1.0]))[0]
+            with pytest.raises(DomainError, match="float range"):
+                ts.log_cf(p, np.array([1.0, 1e300]))
+        want = complex(_mp_leg(1e306, 0.0, 1.0, 1.0) + _mp_leg(1.0, 0.5, 1.0, 1.0).conjugate())
+        assert abs(got - want) <= 1e-13 * abs(want)  # -3.4657e305 + 7.854e305 j
+
     @pytest.mark.parametrize("z", [np.inf, -np.inf, np.nan, complex(1.0, np.inf),
                                    complex(np.nan, 0.0)], ids=str)
     def test_non_finite_frequency_is_domain_error(self, skewed, z):

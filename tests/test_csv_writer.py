@@ -27,9 +27,9 @@ def _neighbours(x, ulps=1):
 
 
 def _assert_same_text(header, *columns):
-    """The writer's text is "%.17g"'s; a mismatch names its first line (a
-    plain == on megabytes of text would have pytest diff them)."""
-    got, want = _csv(header, *columns), csv_17g(header, *columns)
+    """The writer's bytes are "%.17g"'s text; a mismatch names its first line
+    (a plain == on megabytes of text would have pytest diff them)."""
+    got, want = _csv(header, *columns), csv_17g(header, *columns).encode()
     if got != want:
         line = next(pair for pair in zip_longest(got.splitlines(), want.splitlines())
                     if pair[0] != pair[1])
@@ -84,17 +84,17 @@ def test_fallback_takes_ties_and_non_finite_values():
     draws = np.abs(np.random.default_rng(5).standard_normal(10**4))
     assert not _decimal(draws)[2].any()
     # the kernel writes digits only; these strings come from "%.17g" itself
-    assert _csv("v", np.array([np.nan, np.inf, -np.inf])) == "v\nnan\ninf\n-inf\n"
+    assert _csv("v", np.array([np.nan, np.inf, -np.inf])) == b"v\nnan\ninf\n-inf\n"
 
 
 def test_zero_and_empty_columns():
-    assert _csv("x") == "x\n"
-    assert _csv("x,y", np.array([]), np.array([])) == "x,y\n"
-    assert _csv("x", np.array([0.0, -0.0])) == "x\n0\n-0\n"
+    assert _csv("x") == b"x\n"
+    assert _csv("x,y", np.array([]), np.array([])) == b"x,y\n"
+    assert _csv("x", np.array([0.0, -0.0])) == b"x\n0\n-0\n"
 
 
 def test_density_csv_memory_is_bounded():
-    # the README law's 2**14-node grid: 49 152 values, about 1 MB of text
+    # the README law's 2**14-node grid: 49 152 values, about 1 MB of bytes
     nodes = 2**14
     law = ts.TemperedStableParams.create(1.0, 0.3, 3.0, 2.0, 0.6, 4.0)
     ev = ts.DensityEvaluator(law, ts.InversionSettings(nodes=nodes))
@@ -102,9 +102,9 @@ def test_density_csv_memory_is_bounded():
     x, cdf_vals = ev.cdf_grid()
     tracemalloc.start()
     try:
-        text = _csv("x,pdf,cdf", x, grid.pdf, cdf_vals)
+        data = _csv("x,pdf,cdf", x, grid.pdf, cdf_vals)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert text.count("\n") == nodes + 1
+    assert data.count(b"\n") == nodes + 1
     assert peak < 4 * 2**20

@@ -367,10 +367,11 @@ class TestCdf:
         expected = np.interp(xs, xg, cg, left=0.0, right=1.0)
         assert np.array_equal(ev.cdf(xs), expected)
         assert [ev.cdf(float(x)) for x in xs] == expected.tolist()
-        # callers get fresh arrays; writing to them leaves the evaluator intact
-        cg[:] = -1.0
+        # callers get the evaluator's one table, read-only like grid()'s arrays
+        with pytest.raises(ValueError):
+            cg[:] = -1.0
         assert np.array_equal(ev.cdf(xs), expected)
-        assert not np.shares_memory(ev.cdf_grid()[1], cg)
+        assert ev.cdf_grid()[1] is cg
 
     def test_repeated_scalar_cdf_builds_grid_once(self, skewed, monkeypatch):
         calls = []

@@ -228,7 +228,7 @@ class TestPriceCache:
         ts.call_price_fourier(risk_neutral, market, OptionSpec(100.0, 1.0))
         nu = ts.default_contour(risk_neutral)
         blocks, _ = pricing._weighted_transform(risk_neutral, 1.0, nu, 512)
-        for array in (blocks, *pricing._contour_plan(risk_neutral, 1.0, nu)[3:]):
+        for array in (blocks, *pricing._contour_plan(risk_neutral, 1.0, nu)[4:]):
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[(0,) * array.ndim] = 0.0
@@ -244,15 +244,16 @@ class TestPriceCache:
             ts.call_price_fourier(risk_neutral, market, opt, nu=risk_neutral.plus.lam)
         assert pricing._contour_plan.cache_info().hits == hits + 1
         # a cached law, maturity and height, at a strike whose terms reach 2e9
-        # of spot: the check runs before the plan is looked up
+        # of spot: the check reads T Psi(nu) from the plan, a hit
         with pytest.raises(ConvergenceError, match="of spot"):
             ts.call_price_fourier(risk_neutral, market, OptionSpec(1e-6, 1.0))
+        assert pricing._contour_plan.cache_info().hits == hits + 2
         slow = TemperedStableParams.create(*SLOW_DECAY_LAW)
         slow_market = MarketConfig(s0=100.0, r=ts.cgf(slow, 1.0), q_div=0.0)
         for _ in range(2):  # a miss that caches the plan, then a hit
             with pytest.raises(ConvergenceError, match="pricing grid needs"):
                 ts.call_price_fourier(slow, slow_market, OptionSpec(100.0, 0.29))
-        assert pricing._contour_plan.cache_info().hits == hits + 2
+        assert pricing._contour_plan.cache_info().hits == hits + 3
 
     def test_cache_size_stays_at_its_bound(self, risk_neutral, market):
         clear_pricing_caches()

@@ -106,6 +106,33 @@ def test_cumulant_vector_is_single_cumulants_bit_for_bit(plus, minus):
             assert population[n - 1] == kappa[n - 1]
 
 
+#: the box's legs, and legs with alpha or lambda at 1e+-300 and beta at the edges
+_EDGE_LEG = st.tuples(st.one_of(_LEG.map(lambda leg: leg[0]), st.sampled_from([1e-300, 1e300])),
+                      st.one_of(_LEG.map(lambda leg: leg[1]),
+                                st.sampled_from([0.0, 1e-9, 0.5, 0.999])),
+                      st.one_of(_LEG.map(lambda leg: leg[2]), st.sampled_from([1e-300, 1e300])))
+
+
+@settings(derandomize=True, max_examples=1000, deadline=None)
+@given(plus=_EDGE_LEG, minus=_EDGE_LEG,
+       size=st.one_of(_log_uniform(1e-3, 1e300), st.sampled_from([0.0, 1.0, 1e151, 1e300])),
+       sign=st.sampled_from([-1.0, 1.0]), inside=st.floats(0.0, 1.0, exclude_max=True),
+       height=st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True))
+def test_leg_exponent_is_finite_or_typed_to_the_float_range(plus, minus, size, sign, inside,
+                                                            height):
+    # the scalar cgf, the real-axis log_cf and the complex one, at frequencies
+    # up to 1e300 inside the strip -lambda+ < Im z < lambda-
+    p = TemperedStableParams.create(*plus, *minus)
+    cgf_at = -size if sign < 0.0 else inside * p.plus.lam
+    z = complex(sign * size, height * (p.minus.lam if height > 0.0 else p.plus.lam))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _finite_or_typed("cgf_one_sided", lambda: [ts.cgf_one_sided(p.plus, cgf_at)])
+        for name, at in (("log_cf real", np.array([1.0, z.real])),
+                         ("log_cf complex", np.array([1.0 + 0j, z]))):
+            _finite_or_typed(name, lambda: [*ts.log_cf(p, at).real, *ts.log_cf(p, at).imag])
+
+
 _LAW = TemperedStableParams.create(1.0, 0.3, 3.0, 2.0, 0.6, 4.0)
 
 

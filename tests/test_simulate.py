@@ -22,14 +22,14 @@ class TestStableBlock:
     def test_laplace_transform(self, rng):
         # independent check of the positive-stable generator
         for beta in (0.3, 0.6, 0.85):
-            s_draws = _kanter_stable(1.0, beta, 400_000, rng)
+            s_draws = _kanter_stable(1.0, beta, 400_000, rng, simulate._Work(400_000))
             for s in (0.5, 2.0):
                 probe = np.exp(-s * s_draws)
                 se = np.std(probe) / math.sqrt(len(probe))
                 assert abs(np.mean(probe) - math.exp(-(s**beta))) < 4.0 * se
 
     def test_scale_parameter(self, rng):
-        draws = _kanter_stable(3.0, 0.5, 400_000, rng)
+        draws = _kanter_stable(3.0, 0.5, 400_000, rng, simulate._Work(400_000))
         probe = np.exp(-draws)
         se = np.std(probe) / math.sqrt(len(probe))
         assert abs(np.mean(probe) - math.exp(-3.0)) < 4.0 * se
@@ -241,17 +241,18 @@ def test_u_envelope_dominates_the_marginal(tau, beta):
     sg = math.sqrt(tau * beta * (1.0 - beta))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        cum, _, lo, width, _, log_h, _ = simulate._u_envelope(tau, beta)
+        cum, _, lo, _, log_h, _ = simulate._u_envelope(tau, beta)
+        width = np.append(lo[1:], math.pi) - lo
         assert lo[0] == 0.0 and lo[-1] + width[-1] == math.pi
         assert np.all(width > 0.0) and cum[-1] == 1.0
         # 65 points on each piece, both ends included
         u = (lo[:, None] + np.linspace(0.0, 1.0, 65) * width[:, None]).ravel()
-        log_g = simulate._u_marginal(u, tau, beta, sg)[3]
+        log_g = simulate._u_marginal(u, tau, beta, sg, simulate._Work(u.size))[3]
         assert np.all(np.repeat(log_h, 65) >= log_g)
         assert np.all(np.diff(log_g) <= 0.0)
         # the last piece runs to pi, where A is unbounded: approach it geometrically
         u = math.pi - width[-1] * 0.5 ** np.arange(1.0, 32.0)
-        log_g = simulate._u_marginal(u, tau, beta, sg)[3]
+        log_g = simulate._u_marginal(u, tau, beta, sg, simulate._Work(u.size))[3]
         assert np.all(log_h[-1] >= log_g) and np.all(np.diff(log_g) <= 0.0)
 
 
@@ -266,7 +267,7 @@ def test_guided_piece_is_searchsorted(tau, beta):
     edges = np.concatenate([cum, np.nextafter(cum, -np.inf), np.nextafter(cum, np.inf)])
     r = np.concatenate([[0.0, 1.0 - 2.0**-53], edges[edges < 1.0],
                         np.random.default_rng(5).random(100_000)])
-    assert np.array_equal(simulate._guided_piece(r, cum, guide),
+    assert np.array_equal(simulate._guided_piece(r, cum, guide, simulate._Work(r.size)),
                           np.searchsorted(cum, r, side="right"))
 
 
@@ -275,12 +276,13 @@ def test_zero_mass_pieces_are_never_picked():
     # and neither building the table nor drawing from it warns
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        cum, below, lo, width, scale, _, guide = simulate._u_envelope.__wrapped__(10.0, 0.5)
+        cum, below, lo, scale, _, guide = simulate._u_envelope.__wrapped__(10.0, 0.5)
+        width = np.append(lo[1:], math.pi) - lo
         empty = cum == below
         assert np.sum(empty) == 9 and np.all(scale[empty] == 0.0)
         r = np.concatenate([[0.0], cum[cum < 1.0], np.nextafter(cum, -np.inf),
                             np.random.default_rng(3).random(100_000)])
-        piece = simulate._guided_piece(r, cum, guide)
+        piece = simulate._guided_piece(r, cum, guide, simulate._Work(r.size))
         assert not np.any(empty[piece])
         u = (r - below[piece]) * scale[piece] + lo[piece]
         assert np.all(u >= lo[piece]) and np.all(u <= lo[piece] + width[piece])
@@ -311,12 +313,12 @@ def test_double_rejection_matches_tilted_kanter(tau, beta):
 def _reference_round(tau, beta, k, rng):
     # the double rejection in its plain form: searchsorted for the piece,
     # boolean masks for the survivors and np.where for the outer envelope
-    cum, below, lo, _, scale, log_h, _ = simulate._u_envelope(tau, beta)
+    cum, below, lo, scale, log_h, _ = simulate._u_envelope(tau, beta)
     sg = math.sqrt(tau * beta * (1.0 - beta))
     r = rng.random(k)
     piece = np.searchsorted(cum, r, side="right")
     u = lo[piece] + (r - below[piece]) * scale[piece]
-    lz, zeta_u, z, log_g = simulate._u_marginal(u, tau, beta, sg)
+    lz, zeta_u, z, log_g = simulate._u_marginal(u, tau, beta, sg, simulate._Work(k))
     e = rng.standard_exponential(k) + log_g - log_h[piece]
     keep = e >= 0.0
     lz, zeta_u, z, e = lz[keep], zeta_u[keep], z[keep], e[keep]
