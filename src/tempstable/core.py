@@ -15,10 +15,9 @@ import math
 import operator
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import expm1, gamma as _gamma, log1p
 
-from .errors import DomainError
+from .errors import ConvergenceError, DomainError
 from .params import CumulantVector, MomentStats, OneSidedParams, TemperedStableParams
 
 _LOG_MAX = math.log(np.finfo(float).max)
@@ -42,12 +41,15 @@ def leg_exponent(alpha: float, beta: float, lam: float, z):
     A real float z (np.float64 included), as in the martingale solves,
     takes a scalar path without numpy's array machinery (about 0.7 us
     against 10 us), bit-identical to the array path and like it returning
-    np.float64.  Its kernels are chosen for that: scipy's log1p, expm1
-    and gamma give the same bits on a scalar as on an array, where
-    math.log1p differs on 15-25% of inputs; np.log runs numpy's SIMD
-    kernel on a scalar too, where math.log (libm) rounds about one input
-    in 10^3 to 10^4 otherwise.  u = -inf at z = lam, without a warning."""
+    np.float64.  Its arithmetic is on Python floats, numpy scalars
+    included, so an overflowing product is inf there, not a warning.  Its
+    kernels are chosen for the bits: scipy's log1p, expm1 and gamma give
+    the same bits on a scalar as on an array, where math.log1p differs on
+    15-25% of inputs; np.log runs numpy's SIMD kernel on a scalar too,
+    where math.log (libm) rounds about one input in 10^3 to 10^4
+    otherwise.  u = -inf at z = lam, without a warning."""
     if isinstance(z, float):
+        alpha, beta, lam, z = float(alpha), float(beta), float(lam), float(z)
         w = z * (-1.0 / lam)
         if w < -0.5:
             x = (lam - z) * (1.0 / lam)
@@ -254,10 +256,23 @@ def cumulant(p: TemperedStableParams, n: int) -> float:
     two are inf - inf (odd n) the cumulant has no value, and that is a
     DomainError.
     """
-    plus, minus = cumulant_one_sided(p.plus, n), (-1) ** n * cumulant_one_sided(p.minus, n)
-    if math.isinf(plus) and plus == -minus:
-        raise DomainError(f"the cumulants of this law leave the float range: kappa_{n} is inf - inf")
-    return plus + minus
+    return _cumulants(p, (n,))[0]
+
+
+def _cumulants(p: TemperedStableParams, orders: tuple) -> list:
+    """``cumulant(p, n)`` for each n of ``orders``, bit for bit and with its
+    refusals, from one ``_leg_kappas`` pass per leg."""
+    for n in orders:
+        if n not in range(1, 7):  # refuses 2.5 and NaN, as range holds integers only
+            raise DomainError(f"cumulants are exposed for n = 1..6 only, got {n}")
+    plus, minus = (_leg_kappas(leg.alpha, leg.beta, leg.lam)[0] for leg in (p.plus, p.minus))
+    kappas = []
+    for n in orders:
+        k_p, k_m = np.float64(plus[n - 1]), (-1) ** n * np.float64(minus[n - 1])
+        if math.isinf(k_p) and k_p == -k_m:
+            raise DomainError(f"the cumulants of this law leave the float range: kappa_{n} is inf - inf")
+        kappas.append(k_p + k_m)
+    return kappas
 
 
 _ORDERS = np.arange(1, 7)
@@ -381,20 +396,73 @@ def _scaled_exp(what: str, scale: float, exponent: float) -> float:
     return c
 
 
-#: brentq's stopping bracket, a few floats wide (its least rtol, 4 eps), below
-#: which the root solve bisects to adjacent floats
+#: Brent's stopping bracket, a few floats wide (scipy brentq's least rtol,
+#: 4 eps), below which the root solve bisects to adjacent floats
 _XTOL, _RTOL = 1e-300, 8.9e-16
+
+
+def _brent(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int = 100) -> float:
+    """Brent's root search (Brent 1973, ch. 4) on [xa, xb], whose ends the
+    caller gives nonzero values of opposite signs: scipy's ``brentq`` (its
+    C ``brentq.c``) step for step, in the same operation order on Python
+    floats, so it takes the same points and returns the same float.  C's
+    division by zero gives inf or nan there, and either fails the step
+    test, so it bisects.  A NaN value is a ConvergenceError naming the
+    point.  Returns the last point at convergence or at ``maxiter``."""
+
+    def value(x):
+        fx = float(f(x))
+        if fx != fx:
+            raise ConvergenceError(f"the root search met a NaN value at x = {x!r}")
+        return fx
+
+    xpre, xcur = float(xa), float(xb)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = value(xpre), value(xcur)
+    for _ in range(maxiter):
+        # C also asks fpre, fcur != 0: a zero fcur returns below either way
+        if math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        step = False
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+                step = 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta)
+            except ZeroDivisionError:
+                pass
+        if step:  # good short step
+            spre, scur = scur, stry
+        else:  # bisect
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = value(xcur)
+    return xcur
 
 
 def _increasing_root(f, lo: float, hi: float) -> tuple[float, tuple[float, float]]:
     """Root of the increasing ``f`` on [lo, hi], to the float.
 
     Returns ``lo`` when f(lo) >= 0 and ``hi`` when f(hi) <= 0, each with
-    that end's value twice.  Otherwise brentq closes in to a few floats,
-    every value it takes narrowing the bracket, and bisection finishes at
-    the adjacent floats a < b with f(a) < 0 <= f(b), unless the search
-    meets f = 0 on the way.  It returns the float of least |f| that the
-    search met, at worst the better of a and b, with (f(a), f(b)).
+    that end's value twice.  Otherwise Brent's search (``_brent``) closes
+    in to a few floats, every value it takes narrowing the bracket, and
+    bisection finishes at the adjacent floats a < b with f(a) < 0 <= f(b),
+    unless the search meets f = 0 on the way.  It returns the float of
+    least |f| that the search met, at worst the better of a and b, with
+    (f(a), f(b)).  A NaN value is a ConvergenceError.
     """
     f_a, f_b = f(lo), f(hi)
     if f_a >= 0.0:
@@ -404,7 +472,7 @@ def _increasing_root(f, lo: float, hi: float) -> tuple[float, tuple[float, float
     a, b, best = lo, hi, min((-f_a, lo), (f_b, hi))
 
     def probe(m):
-        # brentq starts at lo and hi; every later value lies inside the bracket
+        # the search starts at lo and hi; every later value lies inside the bracket
         nonlocal a, b, f_a, f_b, best
         if not a < m < b:
             return f_a if m == a else f_b
@@ -416,9 +484,9 @@ def _increasing_root(f, lo: float, hi: float) -> tuple[float, tuple[float, float
             b, f_b = m, f_m
         return f_m
 
-    # brentq's bracket may stay wider in noise or at its iteration cap; the
+    # Brent's bracket may stay wider in noise or at its iteration cap; the
     # bisection below ends the search either way
-    brentq(probe, lo, hi, xtol=_XTOL, rtol=_RTOL, disp=False)
+    _brent(probe, lo, hi, _XTOL, _RTOL)
     while best[0] > 0.0 and math.nextafter(a, b) < b:
         probe(a + 0.5 * (b - a))
     return best[1], (f_a, f_b)

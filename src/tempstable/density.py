@@ -29,6 +29,7 @@ import numpy as np
 from scipy.special import gamma as _gamma, wrightomega
 
 from .core import (
+    _cumulants,
     _factored_blocks,
     _fourier_sum,
     _increasing_root,
@@ -38,7 +39,6 @@ from .core import (
     _scaled_exp,
     cf,
     cgf_one_sided,
-    cumulant,
     leg_exponent,
     log_cf,
 )
@@ -108,7 +108,8 @@ class DensityEvaluator:
 
     def _plan(self) -> None:
         s = self.settings
-        mu, sigma = cumulant(self.params, 1), math.sqrt(cumulant(self.params, 2))
+        mu, k2 = _cumulants(self.params, (1, 2))
+        sigma = math.sqrt(k2)
         x_lo = mu - s.extent_sd * sigma
         span = (mu + s.extent_sd * sigma) - x_lo
         dz = 2.0 * math.pi / span

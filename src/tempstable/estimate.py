@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import root
 from scipy.special import digamma, gamma as _gamma, gammaln
 
 from .core import (_ORDERS, _SIGNS, _integer_at_least, _leg_kappas,
@@ -225,6 +224,8 @@ def fit_two_sided(k, init: TemperedStableParams,
     max(|kappa_j|, k2^(j/2)).  On failure the final iterate is returned
     with ``converged=False``.
     """
+    from scipy.optimize import root  # here, not at import: only a fit loads MINPACK
+
     kappa = _validate(k, tol, max_iter)
     _require_positive_betas(init, "the six-parameter solve")
     scale = np.maximum(np.abs(kappa), kappa[1] ** (_ORDERS / 2.0))

@@ -46,7 +46,9 @@ def alpha_pair_for_moments(beta_plus: float, lambda_plus: float,
     The first two cumulants are linear in (alpha+, alpha-) for fixed
     stability/tempering parameters, so this is a two-by-two Cramer solve on
     each leg's unit-intensity cumulants from one ``_leg_kappas`` pass.  Fails
-    when either intensity is nonpositive (no valid law); never for mu = 0.
+    when either intensity is nonpositive or leaves the float range (no valid
+    law), as where both second cumulants underflow to 0 and so does the
+    determinant; never for mu = 0 inside the float range.
     """
     if not (sigma2 > 0.0):
         raise DomainError("target variance must be positive")
@@ -54,9 +56,10 @@ def alpha_pair_for_moments(beta_plus: float, lambda_plus: float,
                               for leg in (OneSidedParams(1.0, beta_plus, lambda_plus),
                                           OneSidedParams(1.0, beta_minus, lambda_minus)))
     det = c1p * c2m + c1m * c2p
-    a_plus = (mu * c2m + sigma2 * c1m) / det
-    a_minus = (sigma2 * c1p - mu * c2p) / det
-    if not (a_plus > 0.0 and a_minus > 0.0):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # refused below
+        a_plus = (mu * c2m + sigma2 * c1m) / det
+        a_minus = (sigma2 * c1p - mu * c2p) / det
+    if not (0.0 < a_plus < math.inf and 0.0 < a_minus < math.inf):
         raise DomainError(
             "no law with these shape/rate parameters attains "
             f"mean {mu} and variance {sigma2}"

@@ -101,6 +101,85 @@ def test_scalar_leg_exponent_is_the_array_path(alpha, beta, lam, s, scalar):
         assert math.isfinite(got)
 
 
+@pytest.mark.parametrize("scalar", [float, np.float64])
+@pytest.mark.parametrize("alpha, beta, lam, z", [
+    (1.0, 0.5, 1e-300, -1e10),  # z/lam past the float range
+    (1e300, 0.0, 1e300, -1e305),
+    (1e300, 0.5, 1e300, -1e10),  # the coefficient past the float range
+    (1e300, 0.5, 1e300, 0.5),
+    (2.0, 1e-320, 1.0, 0.5),  # Gamma(-beta) past the float range
+])
+def test_scalar_leg_exponent_overflow_is_silent(alpha, beta, lam, z, scalar):
+    # numpy-scalar arguments take the scalar path in Python floats: where a
+    # product overflows it gives the array path's value or refusal, not a warning
+    try:
+        want = core.leg_exponent(alpha, beta, lam, np.array([z]))[0]
+    except DomainError:
+        want = None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if want is None:
+            with pytest.raises(DomainError, match="leaves the float range"):
+                core.leg_exponent(scalar(alpha), scalar(beta), scalar(lam), scalar(z))
+            return
+        got = core.leg_exponent(scalar(alpha), scalar(beta), scalar(lam), scalar(z))
+    assert got.tobytes() == want.tobytes(), (got, want)
+
+
+def _brent_case(kind: str, rng) -> tuple:
+    """A seeded increasing function of one of three shapes, and a bracket
+    around its root: a power law of any scale, an exponential with noise of
+    1e-16, and a tanh step up to 1e8 steep (exactly +-1 away from the root,
+    where Brent's extrapolation divides by zero)."""
+    r = float(rng.uniform(-3.0, 3.0))
+    lo, hi = r - float(10.0 ** rng.uniform(-3.0, 1.0)), r + float(10.0 ** rng.uniform(-3.0, 1.0))
+    if kind == "power":
+        e, c = float(rng.uniform(0.1, 6.0)), float(10.0 ** rng.uniform(-200.0, 200.0))
+        return (lambda x: c * math.copysign(abs(x - r) ** e, x - r)), lo, hi
+    if kind == "exp":
+        k = float(rng.uniform(0.1, 30.0))
+        return (lambda x: math.exp(k * x) - math.exp(k * r) + 1e-16 * math.sin(1e7 * x)), lo, hi
+    s = float(10.0 ** rng.uniform(0.0, 8.0))
+    return (lambda x: math.tanh(s * (x - r))), lo, hi
+
+
+@pytest.mark.parametrize("xtol", [1e-300, 2e-12])
+@pytest.mark.parametrize("kind", ["power", "exp", "tanh"])
+def test_brent_takes_brentqs_points(kind, xtol):
+    # core._brent is scipy's brentq step for step: the same points in the
+    # same order and the same root, at the iteration cap too
+    from scipy.optimize import brentq
+
+    rng, cases = np.random.default_rng([7, len(kind), int(xtol < 1e-100)]), 0
+    while cases < 1000:
+        f, lo, hi = _brent_case(kind, rng)
+        if not f(lo) < 0.0 < f(hi):  # noise at the ends: no sign change
+            continue
+        cases += 1
+        for maxiter in (100, 6):
+            want, got = [], []
+            root = brentq(lambda x: want.append(x) or f(x), lo, hi, xtol=xtol,
+                          rtol=core._RTOL, maxiter=maxiter, disp=False)
+            assert core._brent(lambda x: got.append(x) or f(x), lo, hi, xtol, core._RTOL,
+                               maxiter) == root
+            assert got == want
+
+
+def test_brent_names_a_nan_value():
+    # where scipy's brentq raises a bare ValueError, the search raises a typed error
+    seen = []
+
+    def f(x):
+        seen.append(x)
+        return math.nan if 0.0 < x < 1.0 else x - 0.25
+
+    with pytest.raises(ts.ConvergenceError) as info:
+        core._brent(f, 0.0, 1.0, 1e-300, core._RTOL)
+    assert 0.0 < seen[-1] < 1.0 and str(info.value).endswith(f"NaN value at x = {seen[-1]!r}")
+    with pytest.raises(ts.ConvergenceError, match=r"NaN value at x = 2\.0$"):
+        core._increasing_root(lambda x: math.nan if x == 2.0 else x - 1.0, 0.0, 2.0)
+
+
 class TestCgf:
     def test_zero_at_origin(self, skewed):
         assert ts.cgf(skewed, 0.0) == 0.0

@@ -1,8 +1,13 @@
 """Module layering: a module imports private (``_``-prefixed) names from
-no sibling but ``core``, which holds the parts the others share; and no
-module has code that ``python -O`` would drop or change."""
+no sibling but ``core``, which holds the parts the others share; no
+module has code that ``python -O`` would drop or change; and only a fit
+loads ``scipy.optimize``."""
 
 import ast
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -63,3 +68,23 @@ def test_no_code_depends_on_python_optimize():
 ])
 def test_optimize_dependent_code_is_found(source, hit):
     assert _optimize_dependent(ast.parse(source)) == [hit]
+
+
+def test_only_a_fit_loads_scipy_optimize():
+    # a fresh interpreter: this process has loaded scipy.optimize already.  The
+    # root solves run on core._brent; fit_two_sided loads MINPACK on first use
+    path = [str(SRC.parent), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    probe = textwrap.dedent("""\
+        import sys
+        import tempstable as ts, tempstable.cli
+        p = ts.TemperedStableParams.create(1.0, 0.3, 3.0, 2.0, 0.6, 4.0)
+        ts.DensityEvaluator(p).mode()
+        ts.esscher_martingale(p, 0.04, 0.01)
+        print("scipy.optimize" in sys.modules)
+        ts.fit_two_sided(ts.cumulant_vector(p), p)
+        print("scipy.optimize" in sys.modules)
+    """)
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                          timeout=120, check=True)
+    assert done.stdout.split() == ["False", "True"]

@@ -63,6 +63,16 @@ class TestAlphaPair:
         with pytest.raises(DomainError):
             ts.alpha_pair_for_moments(0.5, 1.0, 0.5, 1.0, -10.0, 0.1)
 
+    @pytest.mark.parametrize("args", [
+        (0.5, 1e300, 0.5, 1e300, 0.0, 1.0),  # both second cumulants, and the determinant, are 0
+        (0.5, 1e200, 0.5, 1e200, 0.0, 1e10),  # intensities past the float range
+    ])
+    def test_out_of_range_is_refused_without_warnings(self, args):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="no law with these shape/rate parameters"):
+                ts.alpha_pair_for_moments(*args)
+
 
 class TestBerryEsseenBound:
     def test_positive(self, rng):
