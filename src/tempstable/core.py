@@ -256,35 +256,28 @@ def cumulant(p: TemperedStableParams, n: int) -> float:
     two are inf - inf (odd n) the cumulant has no value, and that is a
     DomainError.
     """
-    return _cumulants(p, (n,))[0]
-
-
-def _cumulants(p: TemperedStableParams, orders: tuple) -> list:
-    """``cumulant(p, n)`` for each n of ``orders``, bit for bit and with its
-    refusals, from one ``_leg_kappas`` pass per leg."""
-    for n in orders:
-        if n not in range(1, 7):  # refuses 2.5 and NaN, as range holds integers only
-            raise DomainError(f"cumulants are exposed for n = 1..6 only, got {n}")
-    plus, minus = (_leg_kappas(leg.alpha, leg.beta, leg.lam)[0] for leg in (p.plus, p.minus))
-    kappas = []
-    for n in orders:
-        k_p, k_m = np.float64(plus[n - 1]), (-1) ** n * np.float64(minus[n - 1])
-        if math.isinf(k_p) and k_p == -k_m:
-            raise DomainError(f"the cumulants of this law leave the float range: kappa_{n} is inf - inf")
-        kappas.append(k_p + k_m)
-    return kappas
+    if n not in range(1, 7):  # refuses 2.5 and NaN, as range holds integers only
+        raise DomainError(f"cumulants are exposed for n = 1..6 only, got {n}")
+    kappa = _population_kappa(p.as_tuple())[n - 1]
+    if math.isnan(kappa):  # a leg's term is never NaN
+        raise DomainError(f"the cumulants of this law leave the float range: kappa_{n} is inf - inf")
+    return kappa
 
 
 _ORDERS = np.arange(1, 7)
 _SIGNS = (-1.0, 1.0, -1.0, 1.0, -1.0, 1.0)  # (-1)^n
 
 
+def _signed_sum(plus: list, minus: list) -> np.ndarray:
+    """plus_n + (-1)^n minus_n over two legs' ``_leg_kappas`` lists, the one place
+    legs combine; on Python floats, so inf - inf is NaN, not a warning."""
+    return np.array([a + s * b for a, b, s in zip(plus, minus, _SIGNS)])
+
+
 def _population_kappa(theta) -> np.ndarray:
     """First six cumulants of the law with parameter vector ``theta``, which
     the caller keeps inside the parameter domain; ``cumulant`` bit for bit."""
-    ap, bp, lp, am, bm, lm = theta
-    return np.array([p + s * m for p, m, s in
-                     zip(_leg_kappas(ap, bp, lp)[0], _leg_kappas(am, bm, lm)[0], _SIGNS)])
+    return _signed_sum(_leg_kappas(*theta[:3])[0], _leg_kappas(*theta[3:])[0])
 
 
 def cumulant_vector(p: TemperedStableParams) -> CumulantVector:
@@ -304,8 +297,13 @@ def moment_stats(p: TemperedStableParams) -> MomentStats:
     Raises DomainError when a cumulant or a ratio of them overflows the
     float range, instead of passing inf or nan on.
     """
+    return _moment_stats(_population_kappa(p.as_tuple()))
+
+
+def _moment_stats(kappa: np.ndarray) -> MomentStats:
+    """``moment_stats`` from the ``_signed_sum`` of a law's legs."""
     with np.errstate(all="ignore"):
-        k1, k2, k3, k4 = _population_kappa(p.as_tuple())[:4]
+        k1, k2, k3, k4 = kappa[:4]
         k2_sq = k2**2
         skewness, excess = k3 / k2**1.5, k4 / k2_sq
     if not all(math.isfinite(v) for v in (k1, k2, k3, k4, k2_sq, skewness, excess)):

@@ -29,12 +29,12 @@ import numpy as np
 from scipy.special import gamma as _gamma, wrightomega
 
 from .core import (
-    _cumulants,
     _factored_blocks,
     _fourier_sum,
     _increasing_root,
     _integer_at_least,
     _leg_kappas,
+    _population_kappa,
     _require_positive_betas,
     _scaled_exp,
     cf,
@@ -108,15 +108,21 @@ class DensityEvaluator:
 
     def _plan(self) -> None:
         s = self.settings
-        mu, k2 = _cumulants(self.params, (1, 2))
+        mu, k2 = _population_kappa(self.params.as_tuple())[:2]
         sigma = math.sqrt(k2)
-        x_lo = mu - s.extent_sd * sigma
-        span = (mu + s.extent_sd * sigma) - x_lo
+        with np.errstate(all="ignore"):  # a NaN or infinite window is refused below
+            x_lo = mu - s.extent_sd * sigma
+            span = (mu + s.extent_sd * sigma) - x_lo
+        if not (math.isfinite(x_lo) and 0.0 < span < math.inf):
+            raise DomainError(f"the window mean {mu:.6g} +- {s.extent_sd} sd ({sigma:.6g}) "
+                              "leaves the float range")
         dz = 2.0 * math.pi / span
 
-        # the first extent z_first 2^j, j = 0..80, where |phi| is below the floor
+        # the first extent z_first 2^j < inf, j = 0..80, where |phi| is below the floor
         z_first = max(16.0 / sigma, 4.0 * (self.params.plus.lam + self.params.minus.lam))
-        z_try = z_first * 2.0 ** np.arange(81)
+        with np.errstate(over="ignore"):
+            z_try = z_first * 2.0 ** np.arange(81)
+        z_try = z_try[z_try < math.inf]
         log_abs = log_cf(self.params, z_try).real
         below = np.flatnonzero(log_abs < math.log(s.cf_floor))
         if not below.size:
@@ -124,8 +130,8 @@ class DensityEvaluator:
                 f"characteristic function does not reach the floor {s.cf_floor}; "
                 "increase cf_floor"
             )
-        z_req = float(z_try[below[0]])
-        n = max(s.nodes, 2 ** math.ceil(math.log2(z_req / dz)))
+        need = float(z_try[below[0]]) / float(dz)  # on Python floats: inf, not a warning
+        n = max(s.nodes, 2 ** math.ceil(math.log2(need))) if need < math.inf else need
         if n > s.max_nodes:
             raise ConvergenceError(
                 "characteristic function decays too slowly for the grid: "

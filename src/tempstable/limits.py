@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _integer_at_least, _leg_kappas, cumulant_one_sided, moment_stats
+from .core import _integer_at_least, _leg_kappas, _moment_stats, _signed_sum
 from .errors import DomainError
 from .params import OneSidedParams, TemperedStableParams
 
@@ -70,9 +70,10 @@ def alpha_pair_for_moments(beta_plus: float, lambda_plus: float,
 def berry_esseen_bound(p: TemperedStableParams) -> BerryEsseenReport:
     """Evaluate the closed-form Kolmogorov bound for the law ``p``.  With the
     intensities written through the moment match, the paper's bound is
-    32 C (kappa3+ + kappa3-) / sigma^3 over the one-sided third cumulants."""
-    stats = moment_stats(p)
-    third = cumulant_one_sided(p.plus, 3) + cumulant_one_sided(p.minus, 3)
+    32 C (kappa3+ + kappa3-) / sigma^3, from one ``_leg_kappas`` pass per leg."""
+    plus, minus = (_leg_kappas(leg.alpha, leg.beta, leg.lam)[0] for leg in (p.plus, p.minus))
+    stats = _moment_stats(_signed_sum(plus, minus))
+    third = np.float64(plus[2]) + np.float64(minus[2])
     bound = 32.0 * BERRY_ESSEEN_C * third / stats.variance**1.5
     return BerryEsseenReport(bound=bound, mu=stats.mean, sigma2=stats.variance)
 

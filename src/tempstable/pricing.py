@@ -4,10 +4,10 @@ The call price is a contour integral of the characteristic function
 along a horizontal line inside the strip of analyticity, in one
 trapezoid pass on a grid planned from the law; any contour height
 between 1 and the upward tempering rate gives the same price, which
-doubles as a built-in correctness check.  Only the grid's step depends
-on the strike, so the plan and the weighted transform of one law,
-maturity and height are cached, and the strikes of one maturity share
-them; each strike's sum is ``core._fourier_sum``, the density's too.  A
+doubles as a built-in correctness check.  One grid serves every strike
+the checks admit, so the plan of one law, maturity, height and rate holds
+the weighted transform and is cached, and the strikes of one maturity
+share it; each strike's sum is ``core._fourier_sum``, the density's too.  A
 Monte-Carlo pricer over exact terminal draws serves as the independent
 cross-check.
 """
@@ -81,21 +81,18 @@ def call_price_fourier(p_q: TemperedStableParams, market: MarketConfig,
     the aliased terms on each side stay below about ``1e-13 S0`` once
     ``(nu-1)P >= L + (T Psi(1))+`` and ``(lam-nu)P >= L + (T Psi(lam) -
     (lam-1)k)+``, with ``L = ln 1e13``; ``P`` is the least such period over
-    31 heights ``lam``.  A grid of more than ``2^20`` nodes raises
-    ``ConvergenceError`` before it is evaluated, and so do terms of the sum
+    31 heights ``lam``.  A strike whose grid needs ``2^20`` nodes or more
+    raises ``ConvergenceError``, and so do terms of the sum
     above ``1e6`` times spot (``K e^{-rT - nu k + T Psi(nu)} / (2 pi nu
     (nu-1))``, the largest one), whose cancellation error of about
     ``4e-16`` times that size would swamp the price.  Prices are
     independent of ``nu`` within (1, lambda+) to well below 1e-8 of spot.
 
-    Only ``P`` depends on the strike.  The rest is kept in two LRU caches:
-    the plan of ``(p_q, T, nu)``, ``Psi(1)`` and ``T Psi(nu)`` included (16
-    entries of about 2 KiB), and the read-only trapezoid-weighted transform
-    on ``n + 1`` nodes over ``[0, U]``, ``n`` the least power of two at or
-    above the node count, so that nearby strikes share a grid (4 entries of
-    about ``16 n`` bytes: 16 MiB each at the ``2^20`` cap, 64 MiB at most).
-    Each strike's sum ``Re sum c_j e^{i k u_j}`` is then one ``core._fourier_sum``;
-    a price does not depend on what the caches hold.
+    The plan of ``(p_q, T, nu, r)`` (``_contour_plan``, an LRU cache of 16)
+    holds ``Psi(1)``, the largest term, the node count and the weighted
+    transform on one grid that serves every strike the checks admit: 16 bytes
+    a node, 16 MiB at the cap, 256 MiB for 16 plans at worst.  Each strike's
+    sum is one ``core._fourier_sum``; no price depends on what the cache holds.
     """
     if nu is None:
         nu = default_contour(p_q)
@@ -104,7 +101,7 @@ def call_price_fourier(p_q: TemperedStableParams, market: MarketConfig,
         raise DomainError(f"contour height must lie in (1, {lam_plus}), got {nu}")
 
     mat = option.maturity
-    psi1, psi_nu, _, upper, lam, tail = _contour_plan(p_q, mat, nu)
+    psi1, log_term0, need, _, blocks, du = _contour_plan(p_q, mat, nu, market.r)
     drift_gap = abs(psi1 - (market.r - market.q_div))
     if drift_gap > 1e-8:
         warnings.warn(
@@ -114,64 +111,61 @@ def call_price_fourier(p_q: TemperedStableParams, market: MarketConfig,
         )
 
     k = math.log(option.strike) - math.log(market.s0)
-    # ln of the sum's largest term, the one at u = 0, over spot
-    log_term = (psi_nu - (nu - 1.0) * k
-                - market.r * mat - math.log(2.0 * math.pi * nu * (nu - 1.0)))
+    log_term = log_term0 - (nu - 1.0) * k  # ln of the sum's largest term over spot
     if not log_term <= _LOG_CONDITION:
         raise ConvergenceError(f"pricing integrand terms reach 10^{log_term / math.log(10.0):.1f}"
                                f" of spot (cap 10^6) at contour height {nu} in (1, {lam_plus})")
-
-    growth = tail - (lam - 1.0) * k
-    period = max((_LOG_ALIAS + max(mat * psi1, 0.0)) / (nu - 1.0),
-                 float(np.min((_LOG_ALIAS + np.maximum(growth, 0.0)) / (lam - nu))))
-    nodes = upper * period / (2.0 * math.pi)
+    nodes = need(k)
     if not nodes < _MAX_NODES:
         raise ConvergenceError(f"pricing grid needs {nodes:.3g} nodes (cap {_MAX_NODES}) "
                                f"at contour height {nu} in (1, {lam_plus})")
-    blocks, du = _weighted_transform(p_q, mat, nu, 1 << (math.ceil(nodes) - 1).bit_length())
-    integral = 2.0 * float(_fourier_sum(-k, blocks, du))
-    prefactor = -math.exp(-market.r * mat) * option.strike * math.exp(-nu * k) / (2.0 * math.pi)
-    return prefactor * integral
-
-
-def _transform(p_nu: TemperedStableParams, psi_nu: float, nu: float, u: np.ndarray):
-    """The call integrand without its strike factor e^{iuk}: on the contour
-    z = u + i nu, log_cf(p_t, -z) = psi_nu + log_cf(p_nu, -u) for the
-    nu-tilted law p_nu, whose transform is taken on the real axis."""
-    z = u + 1j * nu
-    return np.exp(psi_nu + log_cf(p_nu, -u)) / (z * (z - 1j))
+    return (-2.0 * market.s0 * nu * (nu - 1.0) * math.exp(log_term)
+            * float(_fourier_sum(-k, blocks, du)))
 
 
 @functools.lru_cache(maxsize=16)
-def _contour_plan(p_q: TemperedStableParams, maturity: float, nu: float) -> tuple:
-    """``(Psi(1), T Psi(nu), p_nu, U, lam, Re log_cf(p_t, -i lam))``: the plan but the
-    strike's period.  Its decay test caps e^{T Psi(nu)}, a factor of every node."""
+def _contour_plan(p_q: TemperedStableParams, maturity: float, nu: float, r: float) -> tuple:
+    """``(Psi(1), log_term0, need, n, blocks, du)``.  At the log-strike ``k``
+    the sum's largest term over spot is ``e^{log_term0 - (nu - 1) k}``, and
+    the grid needs ``need(k) = U P(k) / 2 pi`` nodes.  ``blocks`` is the
+    trapezoid-weighted transform on ``n + 1`` nodes over ``[0, U]``,
+    read-only, in ``core._factored_blocks``'s layout, ``du = U / n``, and
+    ``n`` is ``need`` at the least ``k`` the conditioning check admits, rounded
+    up and capped at ``2^20``; 0, with no grid, where ``need(inf)`` reaches it."""
     psi1, p_t = cgf(p_q, 1.0), marginal(p_q, maturity)
-    psi_nu = cgf(p_t, nu)
+    log_term0 = cgf(p_t, nu) - r * maturity - math.log(2.0 * math.pi * nu * (nu - 1.0))
     p_nu = bilateral_esscher(p_t, EsscherPair(nu, -nu))
-    h = np.abs(_transform(p_nu, min(psi_nu, 700.0), nu, np.append(0.0, _EXTENTS)))
+
+    def transform(u):
+        # the integrand but e^{T Psi(nu)} and e^{iuk}, at most 1/(nu(nu-1)):
+        # on z = u + i nu, log_cf(p_t, -z) = T Psi(nu) + log_cf(p_nu, -u)
+        z = u + 1j * nu
+        return np.exp(log_cf(p_nu, -u)) / (z * (z - 1j))
+
+    h = np.abs(transform(np.append(0.0, _EXTENTS)))
     decayed = np.flatnonzero(h[1:] < 1e-14 * h[0])
     if decayed.size == 0:
         raise ConvergenceError("pricing integrand does not decay; check parameters")
+    upper = float(_EXTENTS[decayed[0]])
     lam = nu + (p_q.plus.lam - nu) * _BOUND_HEIGHTS
     tail = np.real(log_cf(p_t, -1j * lam))
-    lam.flags.writeable = tail.flags.writeable = False
-    return psi1, psi_nu, p_nu, float(_EXTENTS[decayed[0]]), lam, tail
+    floor = (_LOG_ALIAS + max(maturity * psi1, 0.0)) / (nu - 1.0)
 
+    def need(k: float) -> float:
+        growth = tail - (lam - 1.0) * k
+        period = max(floor, float(np.min((_LOG_ALIAS + np.maximum(growth, 0.0)) / (lam - nu))))
+        return upper * period / (2.0 * math.pi)
 
-@functools.lru_cache(maxsize=4)
-def _weighted_transform(p_q: TemperedStableParams, maturity: float, nu: float,
-                        n: int) -> tuple[np.ndarray, float]:
-    """The trapezoid weights times ``_transform`` on ``n + 1`` nodes over
-    ``[0, U]``, read-only, in ``core._factored_blocks``'s layout; and
-    the step."""
-    psi_nu, p_nu, upper = _contour_plan(p_q, maturity, nu)[1:4]
+    if not need(math.inf) < _MAX_NODES:  # tail is finite: log_cf refuses past the float range
+        return psi1, log_term0, need, 0, None, math.nan
+    k_min = (log_term0 - _LOG_CONDITION) / (nu - 1.0)
+    n = math.ceil(min(need(k_min), _MAX_NODES))  # need is inf where r T overflows
     du = upper / n
-    c = _transform(p_nu, psi_nu, nu, du * np.arange(n + 1)) * du
+    c = transform(du * np.arange(n + 1)) * du
     c[[0, -1]] *= 0.5
     blocks = _factored_blocks(c)
     blocks.flags.writeable = False
-    return blocks, du
+    return psi1, log_term0, need, n, blocks, du
 
 
 def mc_call_price(p_q: TemperedStableParams, market: MarketConfig,

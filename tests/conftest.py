@@ -23,9 +23,8 @@ EMPTY_CURVE_LAWS = [
 
 
 def clear_pricing_caches():
-    """Empty the Fourier pricer's plan and transform caches."""
+    """Empty the Fourier pricer's plan cache."""
     pricing._contour_plan.cache_clear()
-    pricing._weighted_transform.cache_clear()
 
 
 def levy_cgf_one_sided(alpha, beta, lam, z):

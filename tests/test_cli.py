@@ -483,7 +483,7 @@ def test_price_prints_the_library_bits_on_a_cache_hit_and_miss(runner, tmp_path,
     clear_pricing_caches()
     cold = ts.call_price_fourier(pq, market, option)
     hit_cli = _invoke_json(runner, args)["price"]
-    assert pricing._weighted_transform.cache_info().hits >= 1
+    assert pricing._contour_plan.cache_info().hits >= 1
     assert cold_cli == hit == cold == hit_cli
 
 

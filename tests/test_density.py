@@ -70,6 +70,20 @@ class TestSettings:
         assert ev.grid().meta["nodes"] == ev.grid().x.size == 1000
 
 
+    @pytest.mark.parametrize("law, error", [
+        ((1e-12, 0.0, 1e-300, 1.0, 0.5, 2.0), DomainError),  # sd inf: an OverflowError
+        ((1e12, 0.0, 1e-300, 1.0, 0.5, 2.0), DomainError),  # mean and sd inf: a ValueError
+        ((1e300, 0.0, 1.0, 1.0, 0.5, 2.0), DomainError),  # 12 sd below the mean's ulp
+        ((1e-300, 0.0, 1e300, 1.0, 0.5, 2.0), ConvergenceError),  # extents past the range
+        ((1e32, 0.0, 1e-134, 1.0, 0.5, 1e200), ConvergenceError),  # node count past it
+    ])
+    def test_float_range_edges_are_refused_without_warnings(self, law, error):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error):
+                ts.DensityEvaluator(TemperedStableParams.create(*law))
+
+
 class TestPoints:
     """A NaN point has no density or probability; the infinities keep
     their limits; an array of points keeps its shape."""

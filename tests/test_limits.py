@@ -92,6 +92,26 @@ class TestBerryEsseenBound:
             for n in (1, 4, 49):
                 assert bound_uncancelled(p, n) == pytest.approx(b, rel=1e-12)
 
+    def test_one_cumulant_pass_per_leg_gives_the_same_bits(self, rng, monkeypatch):
+        import tempstable.limits as limits
+
+        real, calls = limits._leg_kappas, []
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(limits, "_leg_kappas", counting)
+        for _ in range(10):
+            p = random_params(rng)
+            stats = ts.moment_stats(p)
+            third = cumulant_one_sided(p.plus, 3) + cumulant_one_sided(p.minus, 3)
+            calls.clear()
+            report = ts.berry_esseen_bound(p)
+            assert len(calls) == 2
+            assert (report.mu, report.sigma2) == (stats.mean, stats.variance)
+            assert report.bound == 32.0 * ts.BERRY_ESSEEN_C * third / stats.variance**1.5
+
     def test_vacuous_flag(self):
         weak = TemperedStableParams.create(0.1, 0.5, 0.3, 0.1, 0.5, 0.3)
         assert ts.berry_esseen_bound(weak).vacuous

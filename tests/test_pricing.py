@@ -172,7 +172,7 @@ class TestConditioning:
 
 
 class TestPriceCache:
-    """A price does not depend on what the plan and transform caches hold."""
+    """A price does not depend on what the plan cache holds."""
 
     @pytest.fixture
     def options(self, risk_neutral, market):
@@ -205,7 +205,6 @@ class TestPriceCache:
             prices = self._prices(options, market, order)
             assert [prices[i] for i in range(n)] == cold
         assert pricing._contour_plan.cache_info().hits > 0
-        assert pricing._weighted_transform.cache_info().hits > 0
 
     def test_threads_price_the_cold_bits(self, options, market):
         # more threads than the 2 CPUs of the host the test was written on
@@ -224,27 +223,69 @@ class TestPriceCache:
         for prices in got:
             assert [prices[i] for i in range(n)] == cold
 
+    def test_surface_loop_order_gives_the_same_bits_and_misses(self, market):
+        # criterion 9's 10 x 10 surface, strike by strike and maturity by maturity
+        pq = ts.esscher_martingale(TemperedStableParams.create(0.6, 0.4, 4.0, 0.5, 0.5, 3.5),
+                                   market.r, market.q_div).new_params
+        strikes, maturities = np.linspace(60.0, 150.0, 10), np.linspace(0.25, 3.0, 10)
+
+        def surface(pairs):
+            clear_pricing_caches()
+            prices = {(k, t): ts.call_price_fourier(pq, market, OptionSpec(k, t))
+                      for k, t in pairs}
+            return prices, pricing._contour_plan.cache_info().misses
+
+        by_strike = surface([(k, t) for k in strikes for t in maturities])
+        by_maturity = surface([(k, t) for t in maturities for k in strikes])
+        assert by_strike == by_maturity and by_strike[1] == 10
+
+    def test_the_plan_grid_serves_every_admitted_strike(self):
+        # need(k) does not increase in k, so the plan's n covers every strike
+        # from the least log-strike that the conditioning check admits, but
+        # those that need the cap and are refused
+        rng = np.random.default_rng(37)
+        r = 0.03
+        checked = 0
+        while checked < 40:
+            p = TemperedStableParams.create(*rng.uniform((0.2, 0.05, 1.5, 0.2, 0.05, 0.5),
+                                                         (3.0, 0.95, 8.0, 3.0, 0.95, 8.0)))
+            sol = ts.esscher_martingale(p, r, 0.0)
+            if not sol.exists:
+                continue
+            pq, mat = sol.new_params, rng.uniform(0.05, 3.0)
+            nu = 1.0 + rng.uniform(0.02, 0.98) * (pq.plus.lam - 1.0)
+            need, n = pricing._contour_plan(pq, mat, nu, r)[2:4]
+            k_min = (ts.cgf(ts.marginal(pq, mat), nu) - r * mat
+                     - math.log(2.0 * math.pi * nu * (nu - 1.0)) - math.log(1e6)) / (nu - 1.0)
+            if n:
+                assert n == min(math.ceil(need(k_min)), 2**20)
+            else:
+                assert need(math.inf) >= 2**20
+            for k in k_min + np.append(0.0, np.geomspace(1e-9, 1e3, 60)):
+                assert need(k) <= n or need(k) >= 2**20, (p, mat, nu, k)
+            checked += 1
+
     def test_cached_arrays_are_read_only(self, risk_neutral, market):
         ts.call_price_fourier(risk_neutral, market, OptionSpec(100.0, 1.0))
         nu = ts.default_contour(risk_neutral)
-        blocks, _ = pricing._weighted_transform(risk_neutral, 1.0, nu, 512)
-        for array in (blocks, *pricing._contour_plan(risk_neutral, 1.0, nu)[4:]):
-            assert not array.flags.writeable
-            with pytest.raises(ValueError):
-                array[(0,) * array.ndim] = 0.0
+        blocks = pricing._contour_plan(risk_neutral, 1.0, nu, market.r)[4]
+        assert not blocks.flags.writeable
+        with pytest.raises(ValueError):
+            blocks[0, 0] = 0.0
 
     def test_refusals_fire_on_a_cache_hit(self, risk_neutral, market):
         clear_pricing_caches()
         opt = OptionSpec(100.0, 1.0)
         ts.call_price_fourier(risk_neutral, market, opt)
         hits = pricing._contour_plan.cache_info().hits
+        # the plan is keyed on the rate, not the dividend yield
         with pytest.warns(RuntimeWarning, match="not a martingale law"):
-            ts.call_price_fourier(risk_neutral, MarketConfig(100.0, 0.0), opt)
+            ts.call_price_fourier(risk_neutral, MarketConfig(100.0, market.r), opt)
         with pytest.raises(DomainError):
             ts.call_price_fourier(risk_neutral, market, opt, nu=risk_neutral.plus.lam)
         assert pricing._contour_plan.cache_info().hits == hits + 1
-        # a cached law, maturity and height, at a strike whose terms reach 2e9
-        # of spot: the check reads T Psi(nu) from the plan, a hit
+        # a cached law, maturity, height and rate, at a strike whose terms
+        # reach 2e9 of spot: the check reads T Psi(nu) from the plan, a hit
         with pytest.raises(ConvergenceError, match="of spot"):
             ts.call_price_fourier(risk_neutral, market, OptionSpec(1e-6, 1.0))
         assert pricing._contour_plan.cache_info().hits == hits + 2
@@ -259,9 +300,8 @@ class TestPriceCache:
         clear_pricing_caches()
         for mat in np.linspace(0.25, 3.0, 40):
             ts.call_price_fourier(risk_neutral, market, OptionSpec(100.0, mat))
-        for cached in (pricing._contour_plan, pricing._weighted_transform):
-            info = cached.cache_info()
-            assert info.misses == 40 and info.currsize == info.maxsize
+        info = pricing._contour_plan.cache_info()
+        assert info.misses == 40 and info.currsize == info.maxsize
 
 
 _ALPHA = st.floats(1e-6, 1e6)
